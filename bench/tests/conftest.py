@@ -1,0 +1,11 @@
+"""``python -m pytest bench/tests`` — the benchmark's own tests, kept
+outside tier-1's ``testpaths``."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)

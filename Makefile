@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint verify-plans bench-smoke trace-smoke bench-engine bench-batch crashtest bench-txn sanitize batch-differential serve-smoke bench-server bench-server-reads bench-server-full
+.PHONY: test lint bench bench-test verify-plans bench-smoke trace-smoke bench-engine bench-batch crashtest bench-txn sanitize batch-differential serve-smoke bench-server bench-server-reads bench-server-full
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -15,8 +15,18 @@ lint:
 	else echo "ruff not installed; skipping style check"; fi
 	@if $(PYTHON) -m mypy --version >/dev/null 2>&1; then \
 		$(PYTHON) -m mypy src/repro/core/analysis src/repro/core/engine \
-			src/repro/obs; \
+			src/repro/obs src/repro/excess/pipeline.py; \
 	else echo "mypy not installed; skipping type check"; fi
+
+# The repo's one benchmark (BENCHMARK.json): four workloads, every
+# end-to-end and per-layer metric by name; see bench/README.md.
+bench:
+	python3 bench/run.py
+
+# The benchmark's own tests (estimators, input determinism, the answer
+# checker, BENCHMARK.json agreement, a --smoke run).
+bench-test:
+	$(PYTHON) -m pytest bench/tests -q
 
 # Offline rewrite-soundness sweep: fire all 28 appendix rules on the
 # generated corpus and require every firing to preserve schemas.

@@ -4,8 +4,8 @@ Three layers on top of the algebra, demonstrated on the Figure 1
 university database:
 
 1. **Inheritance-aware inference** — every plan is typed before it
-   runs (``Session(verify=True)``), with DOM(S) substitutability and
-   declared builtin/method signatures.
+   runs (``ExecutionOptions(verify=True)``), with DOM(S)
+   substitutability and declared builtin/method signatures.
 2. **The rewrite-soundness gate** — every rewrite the optimizer admits
    must preserve the inferred schema (debug mode for rule authors).
 3. **The plan linter** — coded findings (L100…L106) with source spans

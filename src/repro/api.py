@@ -9,27 +9,20 @@ kind on either engine, returning a uniform self-describing
 Observability is wired here: each Connection owns a
 :class:`~repro.obs.Tracer` (spans flow to ``Result.trace`` and
 ``Result.explain()``) and a :class:`~repro.obs.SlowQueryLog`, and every
-``execute()`` feeds the process-wide metrics registry.
+``execute()`` feeds the process-wide metrics registry (through
+:func:`repro.excess.pipeline.observed`).
 """
 
 from __future__ import annotations
 
 import os
-from time import perf_counter
-from typing import Any, List, Optional, Union
+from typing import Any, Optional, Union
 
 from .core.optimizer import CostModel, Optimizer, Statistics
+from .excess import pipeline
 from .excess.session import Result, Session
 from .obs import SlowQueryLog, Tracer
-from .options import _UNSET, ExecutionOptions, merge_legacy_options
-from .obs.metrics import (
-    DEREF_CACHE_HITS_TOTAL,
-    DEREF_CACHE_MISSES_TOTAL,
-    QUERIES_TOTAL,
-    QUERY_ERRORS_TOTAL,
-    QUERY_SECONDS,
-    SLOW_QUERIES_TOTAL,
-)
+from .options import ExecutionOptions
 from .storage import Database, load_database, open_database
 
 __all__ = ["Connection", "ExecutionOptions", "connect"]
@@ -47,31 +40,22 @@ class Connection:
     def __init__(self, database: Database,
                  options: Optional[ExecutionOptions] = None, *,
                  optimizer: Optional[Optimizer] = None,
-                 slow_query_threshold: Optional[float] = 0.1,
-                 _source: Optional[str] = None,
-                 engine: Any = _UNSET, verify: Any = _UNSET,
-                 trace: Any = _UNSET, typecheck: Any = _UNSET,
-                 analyze: Any = _UNSET, sanitize: Any = _UNSET):
-        options = merge_legacy_options(
-            options, "Connection(...)", engine=engine, verify=verify,
-            trace=trace, typecheck=typecheck, analyze=analyze,
-            sanitize=sanitize)
-        if optimizer is None:
-            optimizer = Optimizer(
-                cost_model=CostModel(Statistics.from_database(database),
-                                     engine=options.engine,
-                                     indexes=database.indexes))
+                 slow_query_threshold: Optional[float] = 0.1):
         self.db = database
-        self.session = Session(database, optimizer=optimizer,
-                               options=options, _api_internal=True)
-        self.tracer = Tracer(enabled=options.trace)
+        self.session = Session(database, options, optimizer)
+        if optimizer is None:
+            self.session.optimizer = Optimizer(
+                cost_model=CostModel(Statistics.from_database(database),
+                                     engine=self.engine,
+                                     indexes=database.indexes))
+        self.tracer = Tracer(enabled=self.tracing)
         # Every layer reads the tracer from its evaluation context; the
         # database carries it too so storage-side spans (WAL commits)
         # land in the same tree.
         self.session.context.tracer = self.tracer
         database.tracer = self.tracer
         self.slow_log = SlowQueryLog(threshold=slow_query_threshold)
-        self._source = _source
+        self._source: Optional[str] = None
         self._closed = False
         self._client_id = ""
 
@@ -79,26 +63,26 @@ class Connection:
 
     @property
     def engine(self) -> str:
-        return self.session.engine
+        return self.session.options.engine
 
     @property
     def options(self) -> ExecutionOptions:
-        """The connection's current execution switches as one immutable
-        snapshot (live toggles like ``tracing`` are reflected)."""
-        return self.session.options.replace(trace=self.tracer.enabled)
+        """The connection's execution switches (the session's one
+        :class:`ExecutionOptions` value); assign to change them."""
+        return self.session.options
 
     @options.setter
     def options(self, options: ExecutionOptions) -> None:
-        self.session.apply_options(options)
+        self.session.options = options
         self.tracer.enabled = options.trace
 
     @property
     def tracing(self) -> bool:
-        return self.tracer.enabled
+        return self.options.trace
 
     @tracing.setter
     def tracing(self, on: bool) -> None:
-        self.tracer.enabled = bool(on)
+        self.options = self.options.replace(trace=bool(on))
 
     @property
     def client_id(self) -> str:
@@ -111,16 +95,6 @@ class Connection:
     def client_id(self, value: str) -> None:
         self._client_id = str(value)
         self.tracer.client_id = self._client_id
-
-    @property
-    def sanitizing(self) -> bool:
-        return self.session.sanitize
-
-    @sanitizing.setter
-    def sanitizing(self, on: bool) -> None:
-        self.session.sanitize = bool(on)
-        if on:
-            self.session.analyze = True
 
     def close(self) -> None:
         """Release the WAL handle of a durable database (idempotent)."""
@@ -140,7 +114,7 @@ class Connection:
     def __repr__(self) -> str:
         where = self._source or "in-memory"
         return "<Connection %s engine=%s%s>" % (
-            where, self.engine, " tracing" if self.tracer.enabled else "")
+            where, self.engine, " tracing" if self.tracing else "")
 
     # -- execution ----------------------------------------------------------
 
@@ -153,52 +127,31 @@ class Connection:
         ``options=`` overrides the connection's execution switches for
         this call alone — e.g. ``conn.execute(q,
         options=conn.options.replace(engine="batched", parallel=2))``
-        runs one statement partition-parallel without touching the
-        connection.  (The optimizer keeps the connection's cost model;
-        only execution switches swap.)
+        runs one statement partition-parallel.  The override travels
+        down the pipeline as an argument; the connection's own options
+        are never touched.  (The optimizer keeps the connection's cost
+        model; only execution switches swap.)
 
         Each statement is timed into the process-wide latency histogram
         and, when over the connection's threshold, the slow-query log.
         """
-        if options is not None:
-            saved = self.options
-            self.options = options
-            try:
-                return self.execute(source, optimize=optimize)
-            finally:
-                self.options = saved
         if self._closed:
             raise RuntimeError("connection is closed")
-        started = perf_counter()
+        # Every layer asks the tracer itself whether to record, so an
+        # override's ``trace`` flips that one switch for the call.
+        if options is not None:
+            self.tracer.enabled = options.trace
         try:
-            results = self.session.run(source, optimize=optimize)
-        except Exception:
-            QUERY_ERRORS_TOTAL.inc()
-            QUERY_SECONDS.observe(perf_counter() - started)
-            raise
-        QUERIES_TOTAL.inc(max(len(results), 1))
-        QUERY_SECONDS.observe(perf_counter() - started)
-        for result in results:
-            if result.stats.deref_cache_hit:
-                DEREF_CACHE_HITS_TOTAL.inc(result.stats.deref_cache_hit)
-            if result.stats.deref_cache_miss:
-                DEREF_CACHE_MISSES_TOTAL.inc(result.stats.deref_cache_miss)
-            if result.seconds and self.slow_log.observe(
-                    _statement_source(result), result.seconds,
-                    stats=result.stats.as_dict(), engine=result.engine,
-                    client=self._client_id):
-                SLOW_QUERIES_TOTAL.inc()
-        if not results:
-            empty = Result("empty", None, engine=self.engine)
-            empty.all = []
-            return empty
-        last = results[-1]
+            results = pipeline.observed(
+                lambda: self.session.run(source, optimize=optimize,
+                                         options=options),
+                self.slow_log, self._client_id)
+        finally:
+            self.tracer.enabled = self.tracing
+        last = (results[-1] if results
+                else Result("empty", None, engine=self.engine))
         last.all = results
         return last
-
-    def query(self, source: str, *, optimize: bool = True) -> Any:
-        """``execute(...).value`` — the last statement's raw value."""
-        return self.execute(source, optimize=optimize).value
 
     # -- transactions (delegated) ------------------------------------------
 
@@ -212,20 +165,10 @@ class Connection:
         self.session.abort()
 
 
-def _statement_source(result: Result) -> str:
-    statement = result.statement
-    if isinstance(statement, str):
-        return "(%s)" % statement
-    return getattr(statement, "source", None) or repr(statement)
-
-
 def connect(database: Union[Database, str, os.PathLike, None] = None,
             options: Optional[ExecutionOptions] = None, *,
             optimizer: Optional[Optimizer] = None,
-            slow_query_threshold: Optional[float] = 0.1,
-            engine: Any = _UNSET, verify: Any = _UNSET,
-            trace: Any = _UNSET, typecheck: Any = _UNSET,
-            analyze: Any = _UNSET, sanitize: Any = _UNSET) -> Connection:
+            slow_query_threshold: Optional[float] = 0.1) -> Connection:
     """Open a :class:`Connection`.
 
     *database* selects the storage flavor:
@@ -238,45 +181,21 @@ def connect(database: Union[Database, str, os.PathLike, None] = None,
       a write-ahead log via :func:`~repro.storage.open_database`.
 
     *options* is one :class:`~repro.options.ExecutionOptions` value
-    carrying every execution switch:
-
-    * ``engine`` — ``"compiled"`` (streaming pipelines, the default),
-      ``"interpreted"``, or ``"batched"`` (columnar batches; honors
-      ``batch_size`` and, with ``parallel >= 2``, OID-pool
-      partition-parallel execution across forked workers);
-    * ``trace`` — per-operator spans on every statement (see
-      ``Result.trace`` / ``Result.explain()``);
-    * ``verify`` — the inference gate before execution;
-    * ``analyze`` — the abstract interpreter
-      (:mod:`repro.core.analysis.absint`) over every optimized plan:
-      statically-empty subtrees pruned, proven cardinality bounds clamp
-      the cost model, proven-safe array bounds checks elided, and
-      ``Result.explain()`` shows ``static [lo..hi]`` intervals;
-    * ``sanitize`` — ``analyze`` with every proven fact turned into a
-      runtime assertion on the compiled engines (a violation raises
-      :class:`~repro.core.analysis.absint.SanitizerError`, pointing at
-      an analyzer or engine bug).
-
+    carrying every execution switch (engine, checks, tracing, batch and
+    access-path shaping — each documented on that class); the default
+    is the compiled engine with every check off.
     Override per statement with ``conn.execute(source, options=...)``.
-    The per-keyword spellings (``connect(db, engine="batched")``) are
-    deprecated shims over the same options value.
     """
-    options = merge_legacy_options(
-        options, "connect(...)", engine=engine, verify=verify,
-        trace=trace, typecheck=typecheck, analyze=analyze,
-        sanitize=sanitize)
-    source: Optional[str] = None
+    path: Optional[str] = None
     if database is None:
         db = Database()
     elif isinstance(database, Database):
         db = database
     else:
         path = os.fspath(database)
-        source = path
-        if path.endswith(".json"):
-            db = load_database(path)
-        else:
-            db = open_database(path)
-    return Connection(db, options, optimizer=optimizer,
-                      slow_query_threshold=slow_query_threshold,
-                      _source=source)
+        db = (load_database(path) if path.endswith(".json")
+              else open_database(path))
+    conn = Connection(db, options, optimizer=optimizer,
+                      slow_query_threshold=slow_query_threshold)
+    conn._source = path
+    return conn

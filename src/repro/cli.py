@@ -188,6 +188,7 @@ class Shell:
                             ExecutionOptions(engine="interpreted"))
         self.session = self.conn.session
         self.optimize = False
+        self.parallel = 0
         self.last_stats = {}
 
     def _reconnect(self) -> None:
@@ -196,6 +197,15 @@ class Shell:
         execution options and tracing state."""
         self.conn = connect(self.db, self.conn.options)
         self.session = self.conn.session
+
+    def _set_options(self, **changes) -> None:
+        """Apply *changes* to the connection's options.  The chosen
+        ``.parallel`` degree rides along only while the engine is
+        batched — the one engine ExecutionOptions accepts it on."""
+        options = self.conn.options.replace(parallel=0, **changes)
+        if options.engine == "batched":
+            options = options.replace(parallel=self.parallel)
+        self.conn.options = options
 
     # -- meta commands -------------------------------------------------
 
@@ -246,23 +256,24 @@ class Shell:
         if command == ".engine":
             choice = argument.strip().lower()
             if not choice:
-                return "engine: %s" % self.session.engine
+                return "engine: %s" % self.conn.engine
             if choice not in ENGINES:
                 return "usage: .engine %s" % "|".join(ENGINES)
-            self.session.engine = choice
+            self._set_options(engine=choice)
             return "engine set to %s" % choice
         if command == ".parallel":
             choice = argument.strip()
             if not choice:
-                return "parallel: %d" % self.session.parallel
+                return "parallel: %d" % self.parallel
             try:
                 degree = int(choice)
             except ValueError:
                 return "usage: .parallel <n>"
             if degree < 0:
                 return "usage: .parallel <n>  (n >= 0)"
-            self.session.parallel = degree
-            note = ("" if self.session.engine == "batched" or degree < 2
+            self.parallel = degree
+            self._set_options()
+            note = ("" if self.conn.engine == "batched" or degree < 2
                     else " (takes effect with .engine batched)")
             return "parallel set to %d%s" % (degree, note)
         if command == ".begin":
@@ -299,31 +310,30 @@ class Shell:
         if command == ".sanitize":
             choice = argument.strip().lower()
             if choice in ("on", "off"):
-                self.conn.sanitizing = choice == "on"
-            state = "on" if self.conn.sanitizing else "off"
-            if self.conn.sanitizing and self.session.engine == "interpreted":
+                self._set_options(sanitize=choice == "on")
+            sanitizing = self.conn.options.sanitize
+            state = "on" if sanitizing else "off"
+            if sanitizing and self.conn.engine == "interpreted":
                 return ("sanitizer %s (note: a no-op on the %s engine — "
                         "switch with .engine compiled or .engine batched)"
-                        % (state, self.session.engine))
+                        % (state, self.conn.engine))
             return "sanitizer %s" % state
         if command == ".analyze":
             if not argument.strip():
                 return "usage: .analyze <statement …>"
-            was_tracing = self.conn.tracing
-            self.conn.tracing = True
             try:
                 if self.optimize:
                     self.conn.session.optimizer = self._optimizer()
-                result = self.conn.execute(argument, optimize=self.optimize)
+                result = self.conn.execute(
+                    argument, optimize=self.optimize,
+                    options=self.conn.options.replace(trace=True))
             except (ParseError, Exception) as error:
                 return "error: %s" % error
-            finally:
-                self.conn.tracing = was_tracing
             if result.trace is None:
                 return "(nothing to analyze: %s statement)" % result.kind
             self.last_stats = dict(result.stats)
             model = CostModel(Statistics.from_database(self.db),
-                              engine=self.session.engine,
+                              engine=self.conn.engine,
                               indexes=self.db.indexes)
             return result.explain(cost_model=model)
         if command == ".metrics":
@@ -394,7 +404,7 @@ class Shell:
 
     def _optimizer(self) -> Optimizer:
         stats = Statistics.from_database(self.db)
-        model = CostModel(stats, engine=self.session.engine,
+        model = CostModel(stats, engine=self.conn.engine,
                           indexes=self.db.indexes)
         return Optimizer(cost_model=model, max_depth=3, max_trees=500)
 

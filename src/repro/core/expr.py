@@ -341,39 +341,71 @@ def evaluate(expr: Expr, ctx: EvalContext, input_value: Any = _UNBOUND,
     attached under the tracer's cursor: per physical operator for the
     compiled engine, one root span for the interpreter.
     """
+    if sanitize and analysis is None and mode != "interpreted":
+        from .analysis.absint import analyze
+        analysis = analyze(expr, database=getattr(ctx, "database", None))
     tracer = getattr(ctx, "tracer", None)
-    tracing = tracer is not None and tracer.enabled
-    if mode in ("compiled", "batched"):
-        if sanitize and analysis is None:
-            from .analysis.absint import analyze
-            analysis = analyze(expr, database=getattr(ctx, "database",
-                                                      None))
-        if analysis is not None and not sanitize:
-            facts = analysis.extend_facts(facts)
-        if mode == "batched":
-            from .engine.batch import DEFAULT_BATCH_SIZE, compile_batch_plan
-            size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
-            plan = compile_batch_plan(expr, facts=facts, trace=tracing,
-                                      cost_model=cost_model,
-                                      access_paths=access_paths,
-                                      sanitize=analysis if sanitize
-                                      else None,
-                                      batch_size=size)
-            if parallel >= 2 and not sanitize:
-                from .engine.partition import partition_plan
-                plan = partition_plan(expr, plan, facts=facts,
-                                      parallel=parallel, batch_size=size)
-        else:
-            from .engine import compile_plan
-            plan = compile_plan(expr, facts=facts, trace=tracing,
-                                cost_model=cost_model,
-                                access_paths=access_paths,
-                                sanitize=analysis if sanitize else None)
-        if not tracing:
-            return plan.execute(ctx, input_value)
+    plan = lower(expr, mode, trace=tracer is not None and tracer.enabled,
+                 facts=facts, cost_model=cost_model,
+                 access_paths=access_paths, analysis=analysis,
+                 sanitize=sanitize, batch_size=batch_size,
+                 parallel=parallel)
+    return run_plan(expr, plan, ctx, input_value)
+
+
+def lower(expr: Expr, mode: str, trace: bool = False, facts: Any = None,
+          cost_model: Any = None, access_paths: str = "auto",
+          analysis: Any = None, sanitize: bool = False,
+          batch_size: "int | None" = None, parallel: int = 0) -> Any:
+    """The physical plan the *mode* engine runs for *expr* — ``None``
+    for the interpreter, which walks the tree itself.
+
+    The compile half of :func:`evaluate` (same keywords, same
+    meaning); :func:`run_plan` is the other half.  A plan lowered with
+    ``trace`` carries per-run span state: run it once, under the
+    tracer it was lowered for.  ``sanitize`` needs an ``analysis``.
+    """
+    if mode == "interpreted":
+        return None
+    if mode not in ("compiled", "batched"):
+        raise ValueError("unknown engine mode %r (use 'interpreted', "
+                         "'compiled', or 'batched')" % (mode,))
+    if analysis is not None and not sanitize:
+        facts = analysis.extend_facts(facts)
+    if mode == "compiled":
+        from .engine import compile_plan
+        return compile_plan(expr, facts=facts, trace=trace,
+                            cost_model=cost_model,
+                            access_paths=access_paths,
+                            sanitize=analysis if sanitize else None)
+    from .engine.batch import DEFAULT_BATCH_SIZE, compile_batch_plan
+    size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
+    plan = compile_batch_plan(expr, facts=facts, trace=trace,
+                              cost_model=cost_model,
+                              access_paths=access_paths,
+                              sanitize=analysis if sanitize else None,
+                              batch_size=size)
+    if parallel >= 2 and not sanitize:
+        from .engine.partition import partition_plan
+        plan = partition_plan(expr, plan, facts=facts,
+                              parallel=parallel, batch_size=size)
+    return plan
+
+
+def run_plan(expr: Expr, plan: Any, ctx: EvalContext,
+             input_value: Any = _UNBOUND) -> Any:
+    """Execute *expr* through *plan* (what :func:`lower` returned for
+    it; ``None`` walks the tree), recording the run's span tree under
+    ``ctx.tracer`` when that is set and enabled."""
+    tracer = getattr(ctx, "tracer", None)
+    if tracer is None or not tracer.enabled:
+        if plan is None:
+            return expr.evaluate(input_value, ctx)
+        return plan.execute(ctx, input_value)
+    import time as _time
+    if plan is not None:
         root = plan.trace_root
         tracer.attach(root)
-        import time as _time
         cache = ctx.deref_cache
         hits0, misses0 = (cache.hits, cache.misses) if cache is not None \
             else (0, 0)
@@ -390,13 +422,7 @@ def evaluate(expr: Expr, ctx: EvalContext, input_value: Any = _UNBOUND,
                 if hits or misses:
                     root.meta["deref_cache_hit_ratio"] = (
                         hits / (hits + misses))
-    if mode != "interpreted":
-        raise ValueError("unknown engine mode %r (use 'interpreted', "
-                         "'compiled', or 'batched')" % (mode,))
-    if not tracing:
-        return expr.evaluate(input_value, ctx)
     from repro.obs import Span
-    import time as _time
     root = Span("interpreted-plan", kind="plan", expr=expr)
     tracer.attach(root)
     started = _time.perf_counter()

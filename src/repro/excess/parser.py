@@ -31,7 +31,7 @@ resolved by backtracking.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from ..lang import Lexer, ParseError
 from . import ast
@@ -43,10 +43,15 @@ _CLAUSE_WORDS = ("from", "where", "by", "into", "retrieve", "range",
 
 
 class Parser:
-    """Parses EXCESS statements from a token stream."""
+    """Parses EXCESS statements from a token stream.
 
-    def __init__(self, source: str):
-        self.lexer = Lexer(source)
+    Built over source text, or over an existing :class:`Lexer` — a
+    cursor shared with the DDL interpreter, so one script may mix DDL
+    and DML statements without tokenizing twice.
+    """
+
+    def __init__(self, source: Union[str, Lexer]):
+        self.lexer = source if isinstance(source, Lexer) else Lexer(source)
 
     # -- entry points ---------------------------------------------------
 

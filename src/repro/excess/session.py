@@ -1,201 +1,53 @@
 """EXCESS sessions: one entry point for DDL + DML, optionally optimized.
 
 A :class:`Session` holds the sticky pieces of an interactive EXCESS
-connection — the ``range of`` declarations and the database — and
-dispatches each statement to the EXTRA DDL interpreter or the EXCESS
-translator.  ``run`` parses, translates, (optionally) optimizes, and
-evaluates; ``retrieve … into X`` creates named results.
+connection — the live database, the ``range of`` declarations, the
+evaluation context, one :class:`~repro.options.ExecutionOptions` value —
+and runs scripts through the statement pipeline
+(:mod:`repro.excess.pipeline`), which calls back here for what only the
+owner of the live database can do: DDL and the update statements.
 """
 
 from __future__ import annotations
 
-import warnings
-from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.expr import Expr, evaluate
 from ..core.optimizer import Optimizer
 from ..options import ExecutionOptions
 from ..extra.ddl import DDLInterpreter, ensure_type_system
-from ..extra.types import SetType
-from ..lang import Lexer
-from ..obs import QueryStats, Span
-from . import ast
+from . import ast, pipeline
 from .builtins import register_builtins
 from .parser import Parser
+from .pipeline import Result
 from .translate import TranslationError, Translator
 
-
-class Result:
-    """The outcome of one executed statement — the same self-describing
-    shape for retrieve, append, delete, and replace, on either engine.
-
-    * ``value`` — the raw algebra value (a MultiSet for retrieves, the
-      appended multiset / changed count for updates, None for DDL);
-    * ``rows()`` — the value flattened to a plain list, occurrence
-      counts expanded;
-    * ``stats`` — a typed :class:`~repro.obs.QueryStats` snapshot of
-      this statement's work counters alone (the session calls
-      ``begin_query()`` per statement, so counters never leak across
-      statements); it compares equal to the raw counter dict;
-    * ``trace`` — the statement's root :class:`~repro.obs.Span` when it
-      ran under an enabled tracer, else None;
-    * ``explain()`` — the plan (annotated with actuals when a trace was
-      recorded).
-    """
-
-    def __init__(self, statement: Any, expression: Optional[Expr],
-                 value: Any = None, into: Optional[str] = None,
-                 stats: Optional[Dict[str, int]] = None,
-                 trace: Optional[Span] = None, engine: str = "",
-                 seconds: float = 0.0, analysis: Any = None):
-        self.statement = statement
-        self.expression = expression
-        self.value = value
-        self.into = into
-        self.stats = (stats if isinstance(stats, QueryStats)
-                      else QueryStats.from_counters(stats or {}))
-        self.trace = trace
-        self.engine = engine
-        self.seconds = seconds
-        #: The :class:`~repro.core.analysis.absint.PlanAnalysis` of the
-        #: executed tree when the session ran with ``analyze``/``sanitize``
-        #: on; ``explain()`` uses it to print proven ``static [lo..hi]``
-        #: cardinality bounds next to the estimates.
-        self.analysis = analysis
-
-    @property
-    def kind(self) -> str:
-        """``retrieve`` / ``append`` / ``delete`` / ``replace`` /
-        ``ddl`` / ``range``."""
-        if isinstance(self.statement, str):
-            return self.statement
-        if isinstance(self.statement, ast.RangeDecl):
-            return "range"
-        return type(self.statement).__name__.lower()
-
-    def rows(self) -> List[Any]:
-        """The value as a flat list (multiset counts expanded)."""
-        from ..core.values import Arr, MultiSet
-        value = self.value
-        if value is None:
-            return []
-        if isinstance(value, MultiSet):
-            out: List[Any] = []
-            for element, count in value.items():
-                out.extend([element] * count)
-            return out
-        if isinstance(value, Arr):
-            return list(value)
-        return [value]
-
-    def explain(self, cost_model=None) -> str:
-        """The statement's plan, one operator per line.
-
-        With a recorded trace, this is EXPLAIN ANALYZE: actual per-
-        operator cardinalities and wall time, plus estimated-vs-actual
-        deviation when *cost_model* is given.  Without one it falls
-        back to the static plan rendering.
-        """
-        if self.trace is not None:
-            from ..core.explain import explain_analyze
-            return explain_analyze(self.trace, cost_model=cost_model,
-                                   analysis=self.analysis)
-        if self.expression is not None:
-            from ..core.explain import explain
-            return explain(self.expression, cost_model)
-        return "(no plan: %s statement)" % self.kind
-
-    def __repr__(self) -> str:
-        if self.into:
-            return "<Result into %s: %r>" % (self.into, self.value)
-        return "<Result %r>" % (self.value,)
+__all__ = ["Result", "Session"]
 
 
 class Session:
-    """An EXCESS session over a database.
+    """An EXCESS session over a live database.
 
-    With ``typecheck`` enabled, every compiled retrieve is passed
-    through the static schema checker before execution, so sort errors
-    surface at compile time rather than mid-evaluation.
+    *options* is how statements execute unless :meth:`run` is handed an
+    override; *optimizer* (cost model + search budget) is consulted
+    when a script runs with ``optimize`` on.  :func:`repro.connect`
+    builds one with tracing, metrics and a slow-query log around it.
     """
 
-    def __init__(self, database, optimizer: Optimizer = None,
-                 typecheck: bool = False, engine: str = "interpreted",
-                 verify: bool = False, analyze: bool = False,
-                 sanitize: bool = False, _api_internal: bool = False,
-                 options: Optional[ExecutionOptions] = None):
-        if not _api_internal:
-            warnings.warn(
-                "constructing Session(...) directly is deprecated; use "
-                "repro.connect(database, engine=...) and the returned "
-                "Connection (its .session exposes this object)",
-                DeprecationWarning, stacklevel=2)
-        if options is None:
-            options = ExecutionOptions(engine=engine, verify=verify,
-                                       typecheck=typecheck,
-                                       analyze=analyze, sanitize=sanitize)
+    def __init__(self, database,
+                 options: Optional[ExecutionOptions] = None,
+                 optimizer: Optional[Optimizer] = None):
         self.db = database
         ensure_type_system(database)
         register_builtins(database)
         self.ranges: Dict[str, str] = {}
+        self.options = options if options is not None else ExecutionOptions()
         self.optimizer = optimizer
-        # The execution switches live as plain attributes (the CLI's
-        # ``.engine`` meta-command and Connection's per-statement
-        # override mutate them); ``apply_options`` sets the whole set
-        # at once, the ``options`` property snapshots them back.
-        self.apply_options(options)
         # One evaluation context for the whole session: the deref cache
         # and stats live here, reset per statement via begin_query().
         self.context = database.context()
         self.ddl = DDLInterpreter(database,
                                   function_translator=self._translate_function)
-
-    # -- execution options --------------------------------------------------
-
-    def apply_options(self, options: ExecutionOptions) -> None:
-        """Set every execution switch from *options* at once.
-
-        ``engine`` picks the evaluator; ``verify`` runs the
-        inheritance-aware inference gate before execution (the compiled
-        engines receive duplicate-freedom facts as optimization
-        licenses); ``analyze`` runs the abstract interpreter
-        (:mod:`repro.core.analysis.absint`) over every optimized plan
-        (statically-empty subplans pruned, proven bounds clamp the cost
-        model, bounds-elision licenses); ``sanitize`` implies
-        ``analyze`` but flips the facts into runtime assertions, raising
-        SanitizerError on the first violation; ``batch_size`` /
-        ``parallel`` / ``access_paths`` shape the batched and compiled
-        physical plans (see :class:`repro.options.ExecutionOptions`).
-        """
-        self.engine = options.engine
-        self.verify = options.verify
-        self.typecheck = options.typecheck
-        self.analyze = options.analyze
-        self.sanitize = options.sanitize
-        self.batch_size = options.batch_size
-        self.parallel = options.parallel
-        self.access_paths = options.access_paths
-        self.readers = options.readers
-
-    @property
-    def options(self) -> ExecutionOptions:
-        """The current switches as one immutable snapshot (``trace``
-        reflects the attached tracer, which lives on the context)."""
-        tracer = getattr(self.context, "tracer", None) \
-            if hasattr(self, "context") else None
-        return ExecutionOptions(
-            engine=self.engine, verify=self.verify,
-            typecheck=self.typecheck, analyze=self.analyze,
-            sanitize=self.sanitize,
-            trace=bool(tracer is not None and tracer.enabled),
-            batch_size=self.batch_size,
-            # A live session may have been switched off the batched
-            # engine (CLI ``.engine``) with a parallel degree still
-            # set; the snapshot drops it rather than failing validation.
-            parallel=self.parallel if self.engine == "batched" else 0,
-            access_paths=self.access_paths,
-            readers=self.readers)
 
     # -- translation --------------------------------------------------------
 
@@ -225,86 +77,14 @@ class Session:
 
     # -- execution --------------------------------------------------------
 
-    def _tracer(self):
-        """The context's tracer when tracing is on, else None (so every
-        hook below is one attribute check per statement)."""
-        tracer = getattr(self.context, "tracer", None)
-        if tracer is None or not tracer.enabled:
-            return None
-        return tracer
-
-    def _run_traced(self, kind: str, runner, statement) -> Result:
-        """Run one DML statement under a statement span + wall clock.
-
-        The tracer's root span is opened before the runner so the
-        engines' plan/operator spans nest under it; the finished tree
-        lands on ``Result.trace``.
-        """
-        tracer = self._tracer()
-        if tracer is not None:
-            tracer.begin(kind, kind="statement")
-        started = perf_counter()
-        try:
-            result = runner(statement)
-        finally:
-            elapsed = perf_counter() - started
-            root = tracer.end() if tracer is not None else None
-        result.seconds = elapsed
-        result.engine = self.engine
-        if root is not None:
-            from ..core.values import MultiSet
-            root.calls = 1
-            root.wall = elapsed
-            root.rows_out = 1 if result.value is not None else 0
-            if isinstance(result.value, MultiSet):
-                root.card_out = len(result.value)
-            result.trace = root
-        return result
-
-    def run(self, source: str, optimize: bool = False) -> List[Result]:
-        """Execute a mixed DDL/DML script; returns one Result per statement."""
-        results: List[Result] = []
-        lexer = Lexer(source)
-        while not lexer.at_end():
-            token = lexer.peek()
-            if token.is_word("define", "create"):
-                self.ddl.run_statement(lexer)
-                results.append(Result("ddl", None, engine=self.engine))
-                continue
-            parser = Parser.__new__(Parser)
-            parser.lexer = lexer
-            statement = parser.parse_statement()
-            if isinstance(statement, ast.RangeDecl):
-                for var, collection in statement.bindings:
-                    if collection not in self.db:
-                        raise TranslationError(
-                            "range over unknown object %r" % collection)
-                    self.ranges[var] = collection
-                results.append(Result(statement, None, engine=self.engine))
-                continue
-            if isinstance(statement, ast.Append):
-                results.append(self._run_traced(
-                    "append",
-                    lambda s: self._run_update(self._run_append, s),
-                    statement))
-                continue
-            if isinstance(statement, ast.Delete):
-                results.append(self._run_traced(
-                    "delete",
-                    lambda s: self._run_update(self._run_delete, s),
-                    statement))
-                continue
-            if isinstance(statement, ast.Replace):
-                results.append(self._run_traced(
-                    "replace",
-                    lambda s: self._run_update(self._run_replace, s),
-                    statement))
-                continue
-            results.append(self._run_traced(
-                "retrieve",
-                lambda s: self._run_retrieve(s, optimize),
-                statement))
-        return results
+    def run(self, source: str, optimize: bool = False,
+            options: Optional[ExecutionOptions] = None) -> List[Result]:
+        """Execute a mixed DDL/DML script; returns one Result per
+        statement.  *options* overrides the session's for this call."""
+        return pipeline.run_script(
+            source, self.db, self.context, self.ranges,
+            options if options is not None else self.options,
+            lambda: self.optimizer, optimize=optimize, session=self)
 
     # -- transactions -------------------------------------------------------
 
@@ -330,27 +110,37 @@ class Session:
         :meth:`repro.storage.txn.TransactionManager.snapshot`)."""
         return self.db.transactions().snapshot()
 
-    def _run_update(self, runner, statement) -> Result:
-        """Run one update statement, wrapped in an implicit transaction
-        when a manager is attached and no explicit one is open — so a
-        multi-object statement (replace over a whole extent, say)
-        commits as one WAL group instead of per-element autocommits,
-        and a mid-statement error rolls the statement back whole."""
+    def run_update(self, statement,
+                   options: ExecutionOptions) -> Result:
+        """Run one append / delete / replace, wrapped in an implicit
+        transaction when a manager is attached and no explicit one is
+        open — so a multi-object statement (replace over a whole
+        extent, say) commits as one WAL group instead of per-element
+        autocommits, and a mid-statement error rolls the statement
+        back whole."""
         manager = self.db.txn
-        if manager is None or manager.active is not None:
-            return runner(statement)
-        manager.begin()
+        implicit = manager is not None and manager.active is None
+        if implicit:
+            manager.begin()
         try:
-            result = runner(statement)
+            if isinstance(statement, ast.Append):
+                result = self._run_append(statement, options)
+            elif isinstance(statement, ast.Delete):
+                result = self._run_delete(statement)
+            else:
+                result = self._run_replace(statement)
         except BaseException:
-            manager.abort()
+            if implicit:
+                manager.abort()
             raise
-        manager.commit()
+        if implicit:
+            manager.commit()
         return result
 
     # -- update statements -------------------------------------------------
 
-    def _run_append(self, statement: ast.Append) -> Result:
+    def _run_append(self, statement: ast.Append,
+                    options: ExecutionOptions) -> Result:
         """append to C (…): evaluate like a retrieve, ⊎ into C.
 
         When C is declared ``{ ref T }`` and the computed elements are
@@ -370,11 +160,12 @@ class Session:
                                 value_mode=statement.value_mode)
         expr, _ = self.translator().translate_retrieve(retrieve)
         self.context.begin_query()
-        value = evaluate(expr, self.context, mode=self.engine,
+        value = evaluate(expr, self.context, mode=options.engine,
                          cost_model=(self.optimizer.cost_model
                                      if self.optimizer is not None else None),
-                         access_paths=self.access_paths,
-                         batch_size=self.batch_size, parallel=self.parallel)
+                         access_paths=options.access_paths,
+                         batch_size=options.batch_size,
+                         parallel=options.parallel)
         addition = value if isinstance(value, MultiSet) else MultiSet([value])
 
         declared = getattr(self.db, "created_types", {}).get(collection)
@@ -511,130 +302,3 @@ class Session:
         self.db.create(collection, MultiSet(counts=out))
         return Result(statement, None, changed, collection,
                       stats=self.context.stats)
-
-    def _verify_plan(self, expr: Expr):
-        """Run the analysis layer's inference over *expr* (raising on
-        sort errors) and return the plan facts the compiled engine may
-        consume as optimization licenses."""
-        from ..core.analysis import facts_for_database, inference_for_database
-        inference_for_database(self.db).check(expr)
-        if self.engine == "compiled":
-            return facts_for_database(self.db)
-        return None
-
-    def _optimize(self, expr: Expr) -> Expr:
-        """Run the optimizer, recording an ``optimize`` span with one
-        child span per transformation rule (matcher calls, fires, and
-        time) when tracing is on."""
-        tracer = self._tracer()
-        if tracer is None:
-            return self.optimizer.optimize(expr).best
-        span = tracer.start_span("optimize", kind="rule")
-        previous = getattr(self.optimizer, "collect_rule_stats", False)
-        self.optimizer.collect_rule_stats = True
-        started = perf_counter()
-        try:
-            outcome = self.optimizer.optimize(expr)
-        finally:
-            self.optimizer.collect_rule_stats = previous
-            span.calls = 1
-            span.wall = perf_counter() - started
-            tracer.finish(span)
-        span.meta["explored"] = outcome.explored
-        span.meta["steps"] = list(outcome.steps)
-        from ..obs.metrics import REWRITE_FIRES_TOTAL, REWRITE_SECONDS_TOTAL
-        for name, row in sorted((outcome.rule_stats or {}).items()):
-            child = span.child(name, kind="rule")
-            child.calls = row["calls"]
-            child.wall = row["seconds"]
-            child.meta["fires"] = row["fires"]
-            if row["fires"]:
-                REWRITE_FIRES_TOTAL.inc(row["fires"], rule=name)
-            REWRITE_SECONDS_TOTAL.inc(row["seconds"], rule=name)
-        return outcome.best
-
-    def _analyze_plan(self, expr: Expr):
-        """Abstract-interpret *expr* and fold the proofs back into the
-        plan: statically-empty subtrees are replaced by literal empty
-        collections (never under the sanitizer, whose whole point is to
-        execute and check the original operators), and the returned
-        analysis is re-run whenever pruning produced a new tree so its
-        id-keyed facts match the nodes actually executed."""
-        from ..core.analysis.absint import analyze
-        statistics = (self.optimizer.cost_model.stats
-                      if self.optimizer is not None else None)
-        analysis = analyze(expr, database=self.db, statistics=statistics)
-        if not self.sanitize:
-            from ..core.optimizer import prune_statically_empty
-            pruned = prune_statically_empty(expr, analysis)
-            if pruned is not expr:
-                expr = pruned
-                analysis = analyze(expr, database=self.db,
-                                   statistics=statistics)
-        return expr, analysis
-
-    def _run_retrieve(self, statement: ast.Retrieve,
-                      optimize: bool) -> Result:
-        expr, result_type = self.translator().translate_retrieve(statement)
-        if self.typecheck:
-            from ..core.typecheck import checker_for_database
-            checker_for_database(self.db).check(expr)
-        if optimize and self.optimizer is not None:
-            expr = self._optimize(expr)
-        analysis = None
-        if self.analyze:
-            expr, analysis = self._analyze_plan(expr)
-        facts = self._verify_plan(expr) if self.verify else None
-        self.context.begin_query()
-        cost_model = (self.optimizer.cost_model
-                      if self.optimizer is not None else None)
-        saved_bounds = None
-        if analysis is not None and cost_model is not None:
-            saved_bounds = cost_model.bounds
-            cost_model.bounds = analysis.bounds_map()
-        try:
-            value = evaluate(expr, self.context, mode=self.engine,
-                             facts=facts, cost_model=cost_model,
-                             analysis=analysis, sanitize=self.sanitize,
-                             access_paths=self.access_paths,
-                             batch_size=self.batch_size,
-                             parallel=self.parallel)
-        finally:
-            if analysis is not None and cost_model is not None:
-                cost_model.bounds = saved_bounds
-        if statement.into:
-            self.db.create(statement.into, value)
-            if result_type is not None:
-                self.db.created_types[statement.into] = result_type
-        return Result(statement, expr, value, statement.into,
-                      stats=self.context.stats, analysis=analysis)
-
-    def query(self, source: str, optimize: bool = False) -> Any:
-        """Deprecated: run a script and return the last statement's value.
-
-        Use :meth:`repro.Connection.execute` (whose Result carries the
-        value plus rows/stats/trace) instead."""
-        warnings.warn(
-            "Session.query(...) is deprecated; use "
-            "repro.connect(...).execute(source).value",
-            DeprecationWarning, stacklevel=2)
-        return self._last_value(source, optimize=optimize)
-
-    def _last_value(self, source: str, optimize: bool = False) -> Any:
-        results = self.run(source, optimize=optimize)
-        for result in reversed(results):
-            if result.expression is not None:
-                return result.value
-        return None
-
-
-def run(database, source: str, optimize: bool = False,
-        engine: str = "interpreted") -> Any:
-    """Deprecated one-shot convenience: execute *source*, return the
-    last value.  Use ``repro.connect(database).execute(source)``."""
-    warnings.warn(
-        "repro.excess.run(database, source) is deprecated; use "
-        "repro.connect(database, engine=...).execute(source)",
-        DeprecationWarning, stacklevel=2)
-    session = Session(database, engine=engine, _api_internal=True)
-    return session._last_value(source, optimize=optimize)

@@ -229,7 +229,7 @@ class DDLInterpreter:
         if self.function_translator is None:
             raise TypeError_(
                 "define function needs an EXCESS translator; run DDL "
-                "through repro.excess.run()")
+                "through repro.connect(...).execute()")
         self.function_translator(definition)
         return definition
 

@@ -44,12 +44,17 @@ class SlowQueryLog:
         self.capacity = capacity
         self._entries: Deque[SlowQuery] = deque(maxlen=capacity)
 
+    def slow(self, seconds: float) -> bool:
+        """Would a statement that took *seconds* be recorded?  (Ask
+        before rendering its source: most statements are not.)"""
+        return self.threshold is not None and seconds >= self.threshold
+
     def observe(self, source: str, seconds: float,
                 stats: Optional[Dict[str, int]] = None,
                 engine: str = "", client: str = "") -> Optional[SlowQuery]:
         """Record *source* if it crossed the threshold; returns the
         entry when recorded, else None."""
-        if self.threshold is None or seconds < self.threshold:
+        if not self.slow(seconds):
             return None
         entry = SlowQuery(source=source, seconds=seconds,
                           stats=dict(stats or {}), engine=engine,

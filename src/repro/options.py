@@ -1,29 +1,18 @@
 """Execution options: one immutable bag for every knob that shapes how
-a statement runs.
-
-Historically each knob was a separate keyword threaded through
-``connect()`` → ``Connection`` → ``Session`` → ``evaluate()``; adding
-the batched engine (with ``batch_size`` and ``parallel``) made that
-plumbing the API.  :class:`ExecutionOptions` collapses them into one
-value:
+a statement runs, and the only way to pass one:
 
 * construct once, pass to :func:`repro.connect` as ``options=``;
 * derive variants with :meth:`ExecutionOptions.replace`;
 * override per statement via ``Connection.execute(source, options=...)``.
-
-The old per-keyword spellings (``connect(db, engine=...)`` and friends)
-still work behind :func:`merge_legacy_options`, which folds them into an
-``ExecutionOptions`` under a DeprecationWarning.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from dataclasses import replace as _dc_replace
 from typing import Any, Dict, Optional
 
-__all__ = ["ENGINES", "ExecutionOptions", "merge_legacy_options"]
+__all__ = ["ENGINES", "ExecutionOptions"]
 
 #: The recognized execution engines, in increasing order of machinery:
 #: tree-walking interpreter, streaming compiled pipelines, and columnar
@@ -41,8 +30,6 @@ class ExecutionOptions:
     * ``verify`` — run the inheritance-aware inference gate before
       execution; the compiled engines receive duplicate-freedom facts
       as optimization licenses.
-    * ``typecheck`` — static schema check of every retrieve before it
-      runs.
     * ``analyze`` — abstract-interpret every optimized plan: prune
       statically-empty subtrees, clamp the cost model with proven
       bounds, license bounds-check elision.
@@ -63,7 +50,6 @@ class ExecutionOptions:
 
     engine: str = "compiled"
     verify: bool = False
-    typecheck: bool = False
     analyze: bool = False
     sanitize: bool = False
     trace: bool = False
@@ -105,34 +91,3 @@ class ExecutionOptions:
     def as_dict(self) -> Dict[str, Any]:
         """Field name → value (a fresh plain dict)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-#: Sentinel for "keyword not passed" in deprecated signatures, so the
-#: shims can tell an explicit ``engine="compiled"`` from the default.
-_UNSET: Any = object()
-
-
-def merge_legacy_options(options: Optional[ExecutionOptions],
-                         where: str,
-                         **legacy: Any) -> ExecutionOptions:
-    """Fold deprecated per-keyword arguments into an ExecutionOptions.
-
-    *legacy* maps field names to values, with :data:`_UNSET` meaning
-    "not passed".  Passing any legacy keyword warns; combining them
-    with ``options=`` is an error (two sources of truth).
-    """
-    passed = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if not passed:
-        return options if options is not None else ExecutionOptions()
-    if options is not None:
-        raise TypeError(
-            "%s: pass options=ExecutionOptions(...) or the legacy "
-            "keywords (%s), not both" % (where, ", ".join(sorted(passed))))
-    warnings.warn(
-        "%s: the %s keyword%s deprecated; pass "
-        "options=repro.ExecutionOptions(%s) instead"
-        % (where, "/".join(sorted(passed)),
-           " is" if len(passed) == 1 else "s are",
-           ", ".join("%s=%r" % kv for kv in sorted(passed.items()))),
-        DeprecationWarning, stacklevel=3)
-    return ExecutionOptions(**passed)

@@ -41,9 +41,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.serialize import value_to_json
-from ..excess import ast
-from ..excess.parser import Parser
-from ..lang import Lexer, ParseError
+from ..excess.pipeline import reads_only, statements
 
 __all__ = ["ERROR_CODES", "ProtocolError", "Request", "decode_request",
            "encode_response", "error_response", "result_response",
@@ -232,26 +230,14 @@ def classify_source(source: str) -> str:
     """``"read"`` when every statement is side-effect-free (retrieves
     without ``into`` plus range declarations), else ``"write"``.
 
-    Mirrors :meth:`repro.excess.session.Session.run`'s statement loop;
-    anything unparseable classifies as a write so the error surfaces on
-    the serialized path with full session state available.
+    Walks the pipeline's own statement iterator, so the verdict is the
+    one :func:`repro.excess.pipeline.run_script` reaches when it
+    decides whether a script's steps may be cached.  Anything
+    unparseable classifies as a write, so the error surfaces on the
+    serialized path with full session state available.
     """
     try:
-        lexer = Lexer(source)
-        while not lexer.at_end():
-            token = lexer.peek()
-            if token.is_word("define", "create"):
-                return "write"
-            parser = Parser.__new__(Parser)
-            parser.lexer = lexer
-            statement = parser.parse_statement()
-            if isinstance(statement, ast.RangeDecl):
-                continue
-            if isinstance(statement, ast.Retrieve) and not statement.into:
-                continue
-            return "write"
-    except ParseError:
-        return "write"
+        return ("read" if all(map(reads_only, statements(source)))
+                else "write")
     except Exception:
         return "write"
-    return "read"

@@ -13,9 +13,9 @@ Concurrency model (see DESIGN.md §11):
   itself, the cost-based optimizer, and index probes against the
   snapshot's frozen :class:`~repro.storage.indexes.IndexCatalogView`
   (epoch-stamped, so a probe can never surface rows newer than the
-  snapshot).  Compiled plans are cached per connection, keyed by
-  (script text, index epoch, options, range bindings) — the epoch key
-  invalidates the cache on every commit, including index DDL.
+  snapshot).  The statement pipeline (:mod:`repro.excess.pipeline`)
+  caches prepared scripts per connection by (text, index epoch, options,
+  ranges) — every commit, index DDL included, invalidates the cache.
 * **Writes** are serialized through one writer thread.  The writer
   drains its queue up to ``max_batch`` jobs and executes the whole
   batch inside ``wal.group()`` — per-statement commits append to the
@@ -51,35 +51,27 @@ import os
 import signal
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..api import Connection
-from ..core.engine import compile_plan
-from ..core.engine.batch import DEFAULT_BATCH_SIZE, compile_batch_plan
-from ..core.expr import _UNBOUND, EvalContext, evaluate
-from ..core.optimizer import CostModel, Optimizer, Statistics
+from ..api import Connection, connect
+from ..core.expr import EvalContext
+from ..core.optimizer import CostModel, Optimizer
 from ..options import ExecutionOptions
-from ..excess import ast
-from ..excess.parser import Parser
-from ..excess.session import Result
-from ..excess.translate import TranslationError, Translator
-from ..lang import Lexer, ParseError
+from ..excess import pipeline
+from ..excess.pipeline import Result
+from ..excess.translate import TranslationError
+from ..lang import ParseError
 from ..obs import Tracer
-from ..obs.metrics import (DEREF_CACHE_HITS_TOTAL, DEREF_CACHE_MISSES_TOTAL,
-                           QUERIES_TOTAL, QUERY_SECONDS,
-                           SERVER_ADMISSION_REJECTS_TOTAL,
+from ..obs.metrics import (SERVER_ADMISSION_REJECTS_TOTAL,
                            SERVER_CONNECTIONS_ACTIVE,
                            SERVER_CONNECTIONS_TOTAL, SERVER_ERRORS_TOTAL,
                            SERVER_GROUP_COMMIT_BATCH,
                            SERVER_INFLIGHT_QUERIES,
-                           SERVER_PLAN_CACHE_HITS, SERVER_PLAN_CACHE_MISSES,
                            SERVER_QUERIES_QUEUED, SERVER_REQUESTS_TOTAL,
-                           SERVER_TIMEOUTS_TOTAL, SLOW_QUERIES_TOTAL)
-from ..storage import Database, load_database, open_database
+                           SERVER_TIMEOUTS_TOTAL)
+from ..storage import Database
 from ..storage.txn import TxnError
 from .protocol import (ProtocolError, Request, bind_params, classify_source,
                        decode_request, encode_response, error_response,
@@ -181,49 +173,23 @@ class _GuardedNamed:
         return iter(self._named)
 
 
-class _PlanCache:
-    """Per-connection cache of compiled read-script plans.
+class _GuardedContext(EvalContext):
+    """An evaluation context over a snapshot that dies with its guard:
+    checked at every statement start (so a script of statements that
+    never touch the store is cancellable too), object fetch, and
+    extent scan."""
 
-    Keys carry everything that shapes the plan besides the data:
-    (script source, engine, access_paths, batch_size, range bindings).
-    The data dimension is the **index epoch** the script was compiled
-    at — the cache holds plans for exactly one epoch and clears itself
-    the first time it is consulted at a newer one, so every commit
-    (data or index DDL) invalidates wholesale.  Compiled plans consult
-    ``ctx.indexes`` at run time, so a cached plan re-executes correctly
-    against any snapshot of the same epoch.
+    def __init__(self, view, guard: _Guard):
+        db = view.manager.db
+        super().__init__(database=_GuardedNamed(view.named, guard),
+                         store=_GuardedStore(view.store, guard),
+                         functions=db.functions, methods=db.methods,
+                         indexes=view.indexes)
+        self._guard = guard
 
-    Traced (EXPLAIN ANALYZE) plans carry per-run span state and never
-    enter the cache.  Eviction is LRU at ``capacity`` entries.
-    """
-
-    __slots__ = ("capacity", "entries", "epoch", "lock")
-
-    def __init__(self, capacity: int = 64):
-        self.capacity = capacity
-        self.entries: "OrderedDict[Tuple, List[Tuple]]" = OrderedDict()
-        self.epoch: Optional[int] = None
-        self.lock = threading.Lock()
-
-    def get(self, key: Tuple, epoch: int) -> Optional[List[Tuple]]:
-        with self.lock:
-            if epoch != self.epoch:
-                self.entries.clear()
-                self.epoch = epoch
-                return None
-            steps = self.entries.get(key)
-            if steps is not None:
-                self.entries.move_to_end(key)
-            return steps
-
-    def put(self, key: Tuple, epoch: int, steps: List[Tuple]) -> None:
-        with self.lock:
-            if epoch != self.epoch:
-                self.entries.clear()
-                self.epoch = epoch
-            self.entries[key] = steps
-            while len(self.entries) > self.capacity:
-                self.entries.popitem(last=False)
+    def begin_query(self) -> None:
+        self._guard.check()
+        super().begin_query()
 
 
 class _WriteJob:
@@ -249,7 +215,7 @@ class _ClientState:
         self.name = name
         self.conn = conn
         self.in_txn = False
-        self.plan_cache = _PlanCache()
+        self.plan_cache = pipeline.PlanCache()
 
 
 class Server:
@@ -265,54 +231,39 @@ class Server:
                                        None] = None,
                  options: Optional[ExecutionOptions] = None, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 engine: str = "compiled", max_clients: int = 64,
-                 readers: int = 8, queue_depth: int = 64,
+                 max_clients: int = 64, queue_depth: int = 64,
                  query_timeout: float = 30.0, drain_timeout: float = 5.0,
                  max_batch: int = 64, metrics_port: Optional[int] = None,
                  slow_query_threshold: Optional[float] = 0.1):
-        if database is None:
-            self.db = Database()
-        elif isinstance(database, Database):
-            self.db = database
-        else:
-            path = os.fspath(database)
-            self.db = (load_database(path) if path.endswith(".json")
-                       else open_database(path))
         self.host = host
         self.port = port
-        # One ExecutionOptions for every connection the server opens;
-        # the bare ``engine=`` keyword survives as a convenience and is
-        # folded in when no options value is given.
-        self.options = (options if options is not None
-                        else ExecutionOptions(engine=engine))
+        # The admin connection opens the database, registers builtins
+        # and the type system once, and supplies the shared optimizer +
+        # slow-query log; per-client connections reuse both (only the
+        # serialized writer thread ever optimizes, so sharing is safe).
+        admin = connect(database, options,
+                        slow_query_threshold=slow_query_threshold)
+        self.db = admin.db
+        self._optimizer = admin.session.optimizer
+        self.slow_log = admin.slow_log
+        # One ExecutionOptions for every connection the server opens.
+        self.options = admin.options
         self.engine = self.options.engine
+        # Reader threads run serial even on the batched engine: forking
+        # partition workers from a threaded asyncio process is unsafe,
+        # and the snapshot guard wraps the reader's own thread only.
+        self._reader_options = self.options.replace(parallel=0)
         self.max_clients = max_clients
-        # ExecutionOptions.readers (validated >= 1) wins over the bare
-        # constructor keyword, which survives as a convenience.
-        if self.options.readers is not None:
-            readers = self.options.readers
-        self.readers = max(1, readers)
+        self.readers = self.options.readers or 8
         self.queue_depth = queue_depth
         self.query_timeout = query_timeout
         self.drain_timeout = drain_timeout
         self.max_batch = max_batch
         self.metrics_port = metrics_port
         self.slow_query_threshold = slow_query_threshold
-        # The admin connection registers builtins/type system once and
-        # supplies the shared optimizer + slow-query log; per-client
-        # connections reuse both (only the serialized writer thread
-        # ever optimizes, so sharing is safe).
-        self._admin = Connection(self.db, self.options,
-                                 slow_query_threshold=slow_query_threshold)
-        self._optimizer = self._admin.session.optimizer
-        self.slow_log = self._admin.slow_log
         # MVCC needs a manager attached even for in-memory databases.
         self.manager = self.db.transactions()
-        # Snapshot statistics memoized per index epoch: equal epochs
-        # imply identical visible data, so every reader compiling at
-        # the same epoch shares one Statistics pass.  Racing readers
-        # may both compute; the (epoch, stats) tuple swap is GIL-atomic.
-        self._stats_by_epoch: Optional[Tuple[int, Statistics]] = None
+        self._statistics = pipeline.SnapshotStatistics()
         self._clients: Dict[int, _ClientState] = {}
         self._client_ids = itertools.count(1)
         self._backlog = 0      # admitted but unfinished queries
@@ -676,7 +627,8 @@ class Server:
         future.add_done_callback(
             lambda f: self._loop.call_soon_threadsafe(self._read_done, f))
         try:
-            results = await asyncio.wait_for(asyncio.shield(future), timeout)
+            results, explain_text = await asyncio.wait_for(
+                asyncio.shield(future), timeout)
         except asyncio.TimeoutError:
             guard.cancelled.set()
             SERVER_TIMEOUTS_TOTAL.inc()
@@ -685,13 +637,6 @@ class Server:
                 "timeout", "query exceeded %.3fs" % timeout, request.id)
         except Exception as exc:
             return self._map_error(exc, request.id)
-        self._observe_results(state.conn, results)
-        explain_text = None
-        if request.explain:
-            for result in reversed(results):
-                explain_text = getattr(result, "explain_text", None)
-                if explain_text is not None:
-                    break
         return result_response(results, request.id, explain=explain_text)
 
     def _read_done(self, future) -> None:
@@ -702,195 +647,49 @@ class Server:
             future.exception()  # swallow: the handler already responded
 
     def _execute_read(self, state: _ClientState, source: str,
-                      guard: _Guard, explain: bool = False) -> List[Result]:
-        """Reader-thread body: evaluate a read-only script against a
-        guarded MVCC snapshot with the full optimizer + access paths.
+                      guard: _Guard, explain: bool = False
+                      ) -> Tuple[List[Result], Optional[str]]:
+        """Reader-thread body: run a read-only script through the
+        statement pipeline against a guarded MVCC snapshot.
 
-        Probes go through the snapshot's frozen
-        :class:`~repro.storage.indexes.IndexCatalogView`; statistics
-        and the cost model are built from the snapshot itself, so plan
-        choice, compilation, and execution all see one epoch.  Compiled
-        plans are cached per connection keyed by (source, epoch,
-        options, ranges) — a hit skips parse/optimize/compile entirely.
+        The snapshot is the catalog — names, data, statistics and the
+        frozen index view — so plan choice, checks, compilation, and
+        execution see one epoch; a plan-cache hit at that epoch skips
+        parse, optimize and compile entirely.  With *explain*, the
+        script runs under a per-request tracer (which keeps it out of
+        the cache) and the last retrieve's plan is rendered with the
+        snapshot cost model — the one the local ``.analyze`` builds —
+        so ``via index probe[...]`` / ``via scan[...]`` annotations
+        survive the wire.
         """
         conn = state.conn
-        session = conn.session
         view = self.manager.snapshot()
-        ctx = EvalContext(database=_GuardedNamed(view.named, guard),
-                          store=_GuardedStore(view.store, guard),
-                          functions=self.db.functions,
-                          methods=self.db.methods, indexes=view.indexes)
+        ctx = _GuardedContext(view, guard)
         if explain:
-            return self._execute_read_traced(conn, source, view, ctx, guard)
-        mode = session.engine
-        cache = state.plan_cache
-        key = (source, mode, session.access_paths, session.batch_size,
-               tuple(sorted(session.ranges.items())))
-        steps = cache.get(key, view.version)
-        if steps is None:
-            SERVER_PLAN_CACHE_MISSES.inc()
-            steps = self._compile_read(session, source, view)
-            cache.put(key, view.version, steps)
-        else:
-            SERVER_PLAN_CACHE_HITS.inc()
-        results: List[Result] = []
-        for step in steps:
-            if step[0] == "range":
-                _, statement, bindings = step
-                for var, collection in bindings:
-                    session.ranges[var] = collection
-                results.append(Result(statement, None, engine=mode))
-                continue
-            guard.check()
-            ctx.begin_query()
-            started = perf_counter()
-            if step[0] == "plan":
-                _, statement, expr, plan = step
-                value = plan.execute(ctx, _UNBOUND)
-            else:
-                _, statement, expr = step
-                value = evaluate(expr, ctx, mode="interpreted")
-            result = Result(statement, expr, value, None, stats=ctx.stats)
-            result.seconds = perf_counter() - started
-            result.engine = mode
-            results.append(result)
-        return results
+            ctx.tracer = Tracer(enabled=True)
+            ctx.tracer.client_id = conn.client_id
+        results = pipeline.observed(
+            lambda: pipeline.run_script(
+                source, view, ctx, conn.session.ranges,
+                self._reader_options,
+                lambda: self._reader_optimizer(view),
+                cache=state.plan_cache),
+            self.slow_log, conn.client_id)
+        if explain:
+            model = self._reader_optimizer(view).cost_model
+            for result in reversed(results):
+                if result.trace is not None:
+                    return results, result.explain(cost_model=model)
+        return results, None
 
-    def _snapshot_cost_model(self, view, mode: str) -> CostModel:
-        """Statistics + cost model bound to *view*: collection stats
-        come from the snapshot (thread-safe — the live tables are never
-        walked), memoized per epoch, and the model prices probes
-        against the snapshot's frozen catalog."""
-        cached = self._stats_by_epoch
-        if cached is not None and cached[0] == view.version:
-            stats = cached[1]
-        else:
-            stats = Statistics.from_database(view)
-            self._stats_by_epoch = (view.version, stats)
-        return CostModel(stats, engine=mode, indexes=view.indexes)
-
-    def _compile_read(self, session, source: str, view) -> List[Tuple]:
-        """Parse, translate, optimize, and compile a read script into
-        replayable steps (the plan-cache values).
-
-        Compiled plans resolve the catalog through ``ctx.indexes`` at
-        run time, so a step compiled here executes correctly against
-        any snapshot of the same epoch.  Reader threads run serial even
-        on the batched engine: forking partition workers from a
-        threaded asyncio process is unsafe, and the snapshot guard
-        wraps this thread only.
-        """
-        mode = session.engine
-        model = self._snapshot_cost_model(view, mode)
-        optimizer = Optimizer(cost_model=model, max_depth=3, max_trees=500)
-        steps: List[Tuple] = []
-        lexer = Lexer(source)
-        while not lexer.at_end():
-            parser = Parser.__new__(Parser)
-            parser.lexer = lexer
-            statement = parser.parse_statement()
-            if isinstance(statement, ast.RangeDecl):
-                for var, collection in statement.bindings:
-                    if collection not in view.named:
-                        raise TranslationError(
-                            "range over unknown object %r" % collection)
-                    session.ranges[var] = collection
-                steps.append(("range", statement,
-                              tuple(statement.bindings)))
-                continue
-            expr, _ = Translator(self.db, session.ranges) \
-                .translate_retrieve(statement)
-            expr = optimizer.optimize(expr).best
-            if mode == "interpreted":
-                steps.append(("expr", statement, expr))
-                continue
-            if mode == "batched":
-                size = (DEFAULT_BATCH_SIZE if session.batch_size is None
-                        else session.batch_size)
-                plan = compile_batch_plan(expr, cost_model=model,
-                                          access_paths=session.access_paths,
-                                          batch_size=size)
-            else:
-                plan = compile_plan(expr, cost_model=model,
-                                    access_paths=session.access_paths)
-            steps.append(("plan", statement, expr, plan))
-        return steps
-
-    def _execute_read_traced(self, conn: Connection, source: str, view,
-                             ctx: EvalContext,
-                             guard: _Guard) -> List[Result]:
-        """EXPLAIN ANALYZE for a read script: compile fresh under a
-        per-request tracer (traced plans carry per-run span state, so
-        they never touch the plan cache), then render each retrieve's
-        plan with the snapshot cost model — the same model the local
-        ``.analyze`` builds — so ``via index probe[...]`` / ``via
-        scan[...]`` annotations survive the wire."""
-        from ..core.values import MultiSet
-        session = conn.session
-        mode = session.engine
-        model = self._snapshot_cost_model(view, mode)
-        optimizer = Optimizer(cost_model=model, max_depth=3, max_trees=500)
-        tracer = Tracer(enabled=True)
-        tracer.client_id = getattr(conn, "client_id", "") or ""
-        ctx.tracer = tracer
-        results: List[Result] = []
-        lexer = Lexer(source)
-        while not lexer.at_end():
-            parser = Parser.__new__(Parser)
-            parser.lexer = lexer
-            statement = parser.parse_statement()
-            if isinstance(statement, ast.RangeDecl):
-                for var, collection in statement.bindings:
-                    if collection not in view.named:
-                        raise TranslationError(
-                            "range over unknown object %r" % collection)
-                    session.ranges[var] = collection
-                results.append(Result(statement, None, engine=mode))
-                continue
-            guard.check()
-            expr, _ = Translator(self.db, session.ranges) \
-                .translate_retrieve(statement)
-            expr = optimizer.optimize(expr).best
-            ctx.begin_query()
-            tracer.begin("retrieve", kind="statement")
-            started = perf_counter()
-            try:
-                value = evaluate(expr, ctx, mode=mode, cost_model=model,
-                                 access_paths=session.access_paths,
-                                 batch_size=session.batch_size)
-            finally:
-                elapsed = perf_counter() - started
-                root = tracer.end()
-            result = Result(statement, expr, value, None, stats=ctx.stats)
-            result.seconds = elapsed
-            result.engine = mode
-            if root is not None:
-                root.calls = 1
-                root.wall = elapsed
-                root.rows_out = 1 if value is not None else 0
-                if isinstance(value, MultiSet):
-                    root.card_out = len(value)
-                result.trace = root
-                result.explain_text = result.explain(cost_model=model)
-            results.append(result)
-        return results
-
-    def _observe_results(self, conn: Connection,
-                         results: List[Result]) -> None:
-        """Feed the read path's results into the same instruments
-        :meth:`repro.Connection.execute` feeds on the write path."""
-        QUERIES_TOTAL.inc(max(len(results), 1))
-        QUERY_SECONDS.observe(sum(r.seconds for r in results))
-        for result in results:
-            if result.stats.deref_cache_hit:
-                DEREF_CACHE_HITS_TOTAL.inc(result.stats.deref_cache_hit)
-            if result.stats.deref_cache_miss:
-                DEREF_CACHE_MISSES_TOTAL.inc(result.stats.deref_cache_miss)
-            if result.seconds and self.slow_log.observe(
-                    _source_of(result), result.seconds,
-                    stats=result.stats.as_dict(), engine=result.engine,
-                    client=conn.client_id):
-                SLOW_QUERIES_TOTAL.inc()
+    def _reader_optimizer(self, view) -> Optimizer:
+        """The reader's optimizer for *view*: per-epoch snapshot
+        statistics under a cost model that prices probes against the
+        snapshot's frozen catalog, and a search budget small enough for
+        the request path."""
+        model = CostModel(self._statistics.of(view), engine=self.engine,
+                          indexes=view.indexes)
+        return Optimizer(cost_model=model, max_depth=3, max_trees=500)
 
     # -- write path -----------------------------------------------------
 
@@ -1004,13 +803,6 @@ class Server:
             raise
         conn.commit()
         return results
-
-
-def _source_of(result: Result) -> str:
-    statement = result.statement
-    if isinstance(statement, str):
-        return "(%s)" % statement
-    return getattr(statement, "source", None) or repr(statement)
 
 
 async def _close_writer(writer: "asyncio.StreamWriter") -> None:

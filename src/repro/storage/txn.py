@@ -690,7 +690,17 @@ class SnapshotView:
     free chain history (or the epoch's shared index cache) the view can
     still reach; the pin is dropped by a weakref finalizer when the
     view is garbage collected.
+
+    A view is also a *catalog* a statement can be prepared against
+    (:mod:`repro.excess.pipeline`): names, data and indexes are the
+    snapshot's; the schema-level registries in :data:`SCHEMA_ATTRS`
+    are unversioned and read through to the live database.
     """
+
+    #: Attributes served by the live database: DDL is not versioned.
+    SCHEMA_ATTRS = frozenset((
+        "types", "created_types", "hierarchy", "functions", "methods",
+        "function_signatures", "method_signatures"))
 
     def __init__(self, manager: TransactionManager, version: int):
         self.manager = manager
@@ -711,6 +721,14 @@ class SnapshotView:
 
     def names(self) -> List[str]:
         return self.named.keys()
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.named
+
+    def __getattr__(self, name: str) -> Any:
+        if name in self.SCHEMA_ATTRS:
+            return getattr(self.manager.db, name)
+        raise AttributeError(name)
 
     def context(self) -> EvalContext:
         db = self.manager.db

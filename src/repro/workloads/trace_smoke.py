@@ -104,8 +104,7 @@ def run_trace_smoke(echo: Callable[[str], None] = print) -> int:
     # -- 4. disabled-tracer overhead bound -----------------------------
     conn.tracing = False
     bare = connect(uni.db, ExecutionOptions())
-    bare.tracer = None
-    bare.session.context.tracer = None
+    bare.session.context.tracer = None      # the engines see no tracer
     query = EXAMPLE_QUERIES[0][1]
 
     def run_disabled() -> object:

@@ -25,6 +25,7 @@ from typing import List, Optional
 
 from ..core.values import Arr, MultiSet, Ref, Tup
 from ..excess.session import Session
+from ..options import ExecutionOptions
 from ..storage import Database
 
 #: The EXTRA DDL of Figure 1, verbatim in structure.
@@ -109,7 +110,8 @@ def build_university(n_departments: int = 4, n_employees: int = 30,
     """
     rng = random.Random(seed)
     db = database or Database()
-    session = Session(db, _api_internal=True)
+    # The handle's session is the oracle the tests compare against.
+    session = Session(db, ExecutionOptions(engine="interpreted"))
     session.run(FIGURE_1_DDL)
     types = db.types
     store = db.store

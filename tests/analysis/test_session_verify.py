@@ -1,4 +1,4 @@
-"""End-to-end wiring: Session(verify=True), the compiled engine's
+"""End-to-end wiring: ExecutionOptions(verify=True), the compiled engine's
 duplicate-freedom license, and the lint surfaces (CLI + shell)."""
 
 import pytest
@@ -11,9 +11,12 @@ from repro.core.operators import DE, Comp, SetApply, TupExtract
 from repro.core.predicates import Atom
 from repro.core.typecheck import AlgebraTypeError
 from repro.core.values import UNK, MultiSet, Tup
+from repro.excess import parse, pipeline
 from repro.excess.session import Session
+from repro.options import ExecutionOptions
 from repro.storage import Database
 from repro.workloads.university import build_university
+from tests.conftest import INTERPRETED
 
 
 @pytest.fixture(scope="module")
@@ -27,20 +30,22 @@ QUERY = ("retrieve (E.name, E.salary) from E in Employees "
 
 class TestSessionVerify:
     def test_both_engines_agree_under_verify(self, uni):
-        interp = Session(uni.db, engine="interpreted", verify=True)
-        compiled = Session(uni.db, engine="compiled", verify=True)
+        interp = Session(uni.db, INTERPRETED.replace(verify=True))
+        compiled = Session(uni.db, ExecutionOptions(engine="compiled",
+                                                    verify=True))
         a = interp.run(QUERY)[-1].value
         b = compiled.run(QUERY)[-1].value
         assert a == b and len(a) > 0
 
     def test_verify_matches_unverified_results(self, uni):
-        plain = Session(uni.db).run(QUERY)[-1].value
-        checked = Session(uni.db, verify=True).run(QUERY)[-1].value
+        plain = Session(uni.db, INTERPRETED).run(QUERY)[-1].value
+        checked = Session(uni.db, INTERPRETED.replace(verify=True)) \
+            .run(QUERY)[-1].value
         assert plain == checked
 
     def test_verify_rejects_ill_typed_plan_before_execution(self, uni):
         uni.db.create("VCodes", MultiSet([1, 2, 3]))
-        session = Session(uni.db, verify=True)
+        session = Session(uni.db, INTERPRETED.replace(verify=True))
         with pytest.raises(AlgebraTypeError):
             session.run("retrieve (C.name) from C in VCodes")
 
@@ -66,12 +71,17 @@ class TestDuplicateFreedomLicense:
         assert not any("pass-through" in note for note in pipeline.notes)
 
     def test_verified_compiled_session_receives_facts(self, uni):
-        # Session(verify=True, engine="compiled") threads plan facts
-        # into evaluate(); the run must still match the interpreter.
-        session = Session(uni.db, engine="compiled", verify=True)
-        facts = session._verify_plan(Named("Employees"))
-        assert facts is not None
-        assert facts.is_duplicate_free(Named("Employees"))
+        # verify on the compiled engine threads plan facts into the
+        # lowered plan: DE over a duplicate-free extent is a pass-through.
+        statement, = parse("retrieve value (de(Employees))")
+
+        def notes(verify):
+            options = ExecutionOptions(engine="compiled", verify=verify)
+            return pipeline.prepare(statement, uni.db, {}, options,
+                                    None).plan.notes
+
+        assert any("pass-through" in note for note in notes(True))
+        assert not any("pass-through" in note for note in notes(False))
 
 
 class TestSigmaDupFreeLicense:

@@ -2,8 +2,23 @@
 
 import pytest
 
-from repro import Database, MultiSet, Tup
+from repro import Database, ExecutionOptions, MultiSet, Tup
 from repro.workloads import build_university
+
+#: The interpreter is the oracle every faster engine is checked
+#: against; tests that ran on it before ``Session`` took an
+#: ExecutionOptions value keep it by saying so.
+INTERPRETED = ExecutionOptions(engine="interpreted")
+
+
+def last_value(session, source, optimize=False):
+    """Run *source* on *session*; the value of the last statement that
+    has an expression (None for a script of DDL and range declarations
+    only)."""
+    for result in reversed(session.run(source, optimize=optimize)):
+        if result.expression is not None:
+            return result.value
+    return None
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from repro.core.schema import SchemaCatalog, SchemaNode
 from repro.core.typecheck import (AlgebraTypeError, TypeChecker,
                                   checker_for_database)
 from repro.core.values import Arr, MultiSet, Tup
+from tests.conftest import INTERPRETED
 
 
 def tup_schema(**fields):
@@ -199,7 +200,7 @@ def test_translator_output_always_typechecks():
     ]
     for query in queries:
         from repro.excess import Session
-        plan = Session(uni.db).compile(query)
+        plan = Session(uni.db, INTERPRETED).compile(query)
         checker.check(plan)  # must not raise
 
 

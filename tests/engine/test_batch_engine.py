@@ -113,4 +113,4 @@ def test_batched_engine_per_statement_override():
     assert result.value == MultiSet([Tup(N=2), Tup(N=2)])
     # The override is scoped to the one call.
     assert conn.engine == "compiled"
-    assert conn.session.parallel == 0
+    assert conn.session.options.parallel == 0

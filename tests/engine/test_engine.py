@@ -13,10 +13,12 @@ from repro.core.operators import (Pi, SetApply, TupExtract, rel_join,
 from repro.core.optimizer import CostModel, ObjectStats, Statistics
 from repro.core.predicates import Atom
 from repro.core.values import DNE, MultiSet, Tup
+from repro.options import ExecutionOptions
 from repro.storage import Database
 from repro.workloads import build_university, figures
 from repro.workloads.dispatch import (build_population, define_boss_methods,
                                       switch_plan, union_plan)
+from tests.conftest import INTERPRETED, last_value
 
 
 @pytest.fixture(scope="module")
@@ -204,14 +206,14 @@ def test_session_stats_reset_between_statements():
     from repro.excess import Session
     db = Database()
     db.create("Nums", MultiSet([Tup(n=1), Tup(n=2), Tup(n=3)]))
-    session = Session(db)
+    session = Session(db, INTERPRETED)
     session.run("range of X is Nums")
     first = session.run("retrieve (X.n)")[-1]
     second = session.run("retrieve (X.n) where X.n = 2")[-1]
     assert first.stats["elements_scanned"] == 3
     # Counters restart per statement instead of accumulating: the second
     # statement's stats match the same statement run in a fresh session.
-    fresh = Session(db)
+    fresh = Session(db, INTERPRETED)
     fresh.run("range of X is Nums")
     baseline = fresh.run("retrieve (X.n) where X.n = 2")[-1]
     assert second.stats == baseline.stats
@@ -222,11 +224,11 @@ def test_session_engine_choice_and_validation():
     from repro.excess import Session
     db = Database()
     db.create("Nums", MultiSet([Tup(n=1), Tup(n=2)]))
-    compiled = Session(db, engine="compiled")
-    value = compiled.query("range of X is Nums retrieve (X.n)")
+    compiled = Session(db, ExecutionOptions(engine="compiled"))
+    value = last_value(compiled, "range of X is Nums retrieve (X.n)")
     assert value == MultiSet([Tup(n=1), Tup(n=2)])
     with pytest.raises(ValueError):
-        Session(db, engine="jit")
+        Session(db, ExecutionOptions(engine="jit"))
 
 
 def test_cli_engine_meta_command():
@@ -234,10 +236,10 @@ def test_cli_engine_meta_command():
     shell = Shell()
     assert "interpreted" in shell.handle_meta(".engine")
     assert "compiled" in shell.handle_meta(".engine compiled")
-    assert shell.session.engine == "compiled"
+    assert shell.conn.engine == "compiled"
     assert "usage" in shell.handle_meta(".engine warp")
     shell.handle_meta(".demo")
-    assert shell.session.engine == "compiled"  # survives reloads
+    assert shell.conn.engine == "compiled"  # survives reloads
     out = shell.feed("range of E is Employees retrieve (E)")
     assert out and not out[0].startswith("error")
 

@@ -22,6 +22,7 @@ from repro.core.values import Arr, MultiSet, Tup
 from repro.excess import Session
 from repro.excess.printer import UnprintableError, to_excess
 from repro.storage import Database
+from tests.conftest import INTERPRETED
 
 
 def fresh_db():
@@ -39,7 +40,7 @@ def round_trip(expr):
     db = fresh_db()
     expected = evaluate(expr, db.context())
     program, result_name = to_excess(expr)
-    Session(db).run(program)
+    Session(db, INTERPRETED).run(program)
     assert db.get(result_name) == expected, program
     return program
 
@@ -128,11 +129,11 @@ EXCESS_QUERIES = [
 @pytest.mark.parametrize("query", EXCESS_QUERIES)
 def test_double_round_trip(query):
     db = fresh_db()
-    session = Session(db)
+    session = Session(db, INTERPRETED)
     algebra = session.compile(query)
     direct = evaluate(algebra, db.context())
     program, result_name = to_excess(algebra)
-    Session(db).run(program)
+    Session(db, INTERPRETED).run(program)
     assert db.get(result_name) == direct
 
 

@@ -6,6 +6,7 @@ from repro.core.optimizer import CostModel, Optimizer
 from repro.core.values import MultiSet, Tup
 from repro.excess import Session, TranslationError
 from repro.storage import Database
+from tests.conftest import INTERPRETED, last_value
 
 
 @pytest.fixture
@@ -14,7 +15,7 @@ def db():
 
 
 def test_mixed_ddl_and_dml(db):
-    session = Session(db)
+    session = Session(db, INTERPRETED)
     results = session.run("""
         define type Pt: (x: int4, y: int4)
         create Pts: { Pt }
@@ -26,18 +27,19 @@ def test_mixed_ddl_and_dml(db):
 
 def test_range_declarations_persist_across_statements(db):
     db.create("Nums", MultiSet([Tup(v=1), Tup(v=2)]))
-    session = Session(db)
+    session = Session(db, INTERPRETED)
     session.run("range of N is Nums")
-    assert session.query("retrieve (N.v)") == MultiSet([Tup(v=1), Tup(v=2)])
+    assert last_value(session, "retrieve (N.v)") == MultiSet(
+        [Tup(v=1), Tup(v=2)])
 
 
 def test_range_over_unknown_object(db):
     with pytest.raises(TranslationError):
-        Session(db).run("range of X is Ghost")
+        Session(db, INTERPRETED).run("range of X is Ghost")
 
 
 def test_into_records_result_type(db):
-    session = Session(db)
+    session = Session(db, INTERPRETED)
     session.run("""
         define type Num: (v: int4)
         create Nums: { Num }
@@ -51,17 +53,18 @@ def test_into_records_result_type(db):
 def test_query_returns_last_retrieve_value(db):
     db.create("A", MultiSet([1]))
     db.create("B", MultiSet([2]))
-    session = Session(db)
-    value = session.query("retrieve value (A) retrieve value (B)")
+    session = Session(db, INTERPRETED)
+    value = last_value(session, "retrieve value (A) retrieve value (B)")
     assert value == MultiSet([2])
 
 
 def test_query_returns_none_for_pure_ddl(db):
-    assert Session(db).query("define type T: (x: int4)") is None
+    assert last_value(Session(db, INTERPRETED),
+                      "define type T: (x: int4)") is None
 
 
 def test_compile_requires_single_retrieve(db):
-    session = Session(db)
+    session = Session(db, INTERPRETED)
     with pytest.raises(TranslationError):
         session.compile("range of X is Y")
 
@@ -70,29 +73,14 @@ def test_optimized_run_matches_unoptimized(db):
     db.create("A", MultiSet([1, 1, 2, 3, 3]))
     optimizer = Optimizer(cost_model=CostModel(), max_depth=2,
                           max_trees=200)
-    session = Session(db, optimizer=optimizer)
-    plain = session.query("retrieve value (de(de(A)))")
-    optimized = session.query("retrieve value (de(de(A)))", optimize=True)
+    session = Session(db, INTERPRETED, optimizer)
+    plain = last_value(session, "retrieve value (de(de(A)))")
+    optimized = last_value(session, "retrieve value (de(de(A)))",
+                           optimize=True)
     assert plain == optimized == MultiSet([1, 2, 3])
-
-
-def test_run_function_shortcut(db):
-    from repro.excess import run
-    db.create("A", MultiSet([5]))
-    assert run(db, "retrieve value (A)") == MultiSet([5])
 
 
 def test_result_repr(db):
     db.create("A", MultiSet([5]))
-    results = Session(db).run("retrieve value (A) into Out")
+    results = Session(db, INTERPRETED).run("retrieve value (A) into Out")
     assert "Out" in repr(results[-1])
-
-
-def test_typechecked_session_runs_valid_queries(db):
-    from repro.workloads import build_university
-    uni = build_university(n_departments=2, n_employees=6, n_students=6,
-                           seed=3)
-    session = Session(uni.db, typecheck=True)
-    result = session.query(
-        "range of E is Employees retrieve (E.name) where E.dept.floor = 1")
-    assert result is not None

@@ -8,6 +8,7 @@ from repro.cli import Shell
 from repro.excess import Session
 from repro.storage import Database, TxnError
 from repro.workloads import build_university
+from tests.conftest import INTERPRETED, last_value
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ def uni():
 
 
 def test_abort_rolls_back_a_delete(uni):
-    session = Session(uni.db)
+    session = Session(uni.db, INTERPRETED)
     before = len(uni.db.get("Students"))
     session.begin()
     session.run("range of S is Students delete S where S.gpa < 3.5")
@@ -29,11 +30,11 @@ def test_abort_rolls_back_a_delete(uni):
 
 
 def test_commit_keeps_a_replace(uni):
-    session = Session(uni.db)
+    session = Session(uni.db, INTERPRETED)
     session.begin()
     session.run("range of E is Employees replace E (zip = 11111)")
     session.commit()
-    zips = session.query("retrieve value (E.zip) from E in Employees")
+    zips = last_value(session, "retrieve value (E.zip) from E in Employees")
     assert set(zips) == {11111}
 
 
@@ -42,13 +43,14 @@ def test_statement_is_one_implicit_transaction(uni):
     transaction, not one per element."""
     manager = uni.db.txn
     v0 = manager.version
-    Session(uni.db).run("range of E is Employees replace E (zip = 22222)")
+    Session(uni.db, INTERPRETED).run(
+        "range of E is Employees replace E (zip = 22222)")
     assert manager.version == v0 + 1
     assert manager.active is None
 
 
 def test_savepoint_round_trip(uni):
-    session = Session(uni.db)
+    session = Session(uni.db, INTERPRETED)
     before = len(uni.db.get("Students"))
     session.begin()
     sp = session.savepoint()
@@ -59,7 +61,7 @@ def test_savepoint_round_trip(uni):
 
 
 def test_snapshot_isolated_from_session_updates(uni):
-    session = Session(uni.db)
+    session = Session(uni.db, INTERPRETED)
     snap = session.snapshot()
     session.run("range of S is Students delete S")
     assert len(uni.db.get("Students")) == 0
@@ -69,10 +71,11 @@ def test_snapshot_isolated_from_session_updates(uni):
 def test_queries_see_own_uncommitted_writes(uni):
     """Inside a transaction the session reads its own writes (read
     committed-or-own, the usual single-connection behavior)."""
-    session = Session(uni.db)
+    session = Session(uni.db, INTERPRETED)
     session.begin()
     session.run("range of S is Students delete S where S.gpa < 3.5")
-    remaining = session.query("retrieve value (S.gpa) from S in Students")
+    remaining = last_value(session,
+                           "retrieve value (S.gpa) from S in Students")
     assert all(g >= 3.5 for g in remaining)
     session.abort()
 
@@ -118,7 +121,7 @@ def test_session_without_manager_is_unchanged():
     db = Database()
     from repro.core.values import MultiSet
     db.create("Nums", MultiSet())
-    session = Session(db)
+    session = Session(db, INTERPRETED)
     assert db.txn is None
     session.run("append to Nums value (1)")
     assert db.get("Nums") == MultiSet([1])

@@ -13,6 +13,7 @@ from repro.core.operators import (ArrExtract, Deref, Grp, SetApply,
 from repro.core.values import MultiSet, Tup
 from repro.excess import Session, TranslationError
 from repro.workloads import build_university
+from tests.conftest import INTERPRETED, last_value
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def uni():
 
 @pytest.fixture()
 def session(uni):
-    return Session(uni.db)
+    return Session(uni.db, INTERPRETED)
 
 
 def materialized_employees(uni):
@@ -62,7 +63,7 @@ def test_array_indexing_translates_to_arr_extract(session):
 
 def test_var_free_query_returns_bare_tuple(session):
     """Figure 3: no range variables → the result is a single tuple."""
-    result = session.query("retrieve (TopTen[5].name, TopTen[5].salary)")
+    result = last_value(session, "retrieve (TopTen[5].name, TopTen[5].salary)")
     assert isinstance(result, Tup)
     assert result.field_names == ("name", "salary")
 
@@ -92,7 +93,7 @@ def test_single_variable_query_avoids_env_tuples(session):
 
 def test_figure_3_values(uni, session):
     fifth = uni.db.store.get(uni.db.get("TopTen").extract(5).oid)
-    result = session.query("retrieve (TopTen[5].name, TopTen[5].salary)")
+    result = last_value(session, "retrieve (TopTen[5].name, TopTen[5].salary)")
     assert result == Tup(name=fifth["name"], salary=fifth["salary"])
 
 
@@ -100,7 +101,7 @@ def test_figure_4_functional_join(uni, session):
     expected = MultiSet(
         Tup(name=dept_of(uni, e["dept"])["name"])
         for e in materialized_employees(uni) if e["city"] == "Madison")
-    result = session.query(
+    result = last_value(session,
         'retrieve (Employees.dept.name) where Employees.city = "Madison"')
     assert result == expected
 
@@ -111,7 +112,7 @@ def test_paper_query_1_kids_of_floor2_employees(uni, session):
         for e in materialized_employees(uni)
         if dept_of(uni, e["dept"])["floor"] == 2
         for kid in e["kids"])
-    result = session.query("""
+    result = last_value(session, """
         range of E is Employees
         retrieve (C.name) from C in E.kids where E.dept.floor = 2
     """)
@@ -134,7 +135,7 @@ def test_paper_query_2_correlated_aggregate(uni, session):
         Tup(name=e["name"],
             min=min_kid_age_on_floor(dept_of(uni, e["dept"])["floor"]))
         for e in employees)
-    result = session.query("""
+    result = last_value(session, """
         range of EMP is Employees
         retrieve (EMP.name, min(E.kids.age
             from E in Employees
@@ -144,7 +145,7 @@ def test_paper_query_2_correlated_aggregate(uni, session):
 
 
 def test_section5_example1_group_advisors_by_department(uni, session):
-    result = session.query("""
+    result = last_value(session, """
         range of S is Students, E is Employees
         retrieve unique (S.dept.name, E.name) by S.dept
         where S.advisor.name = E.name
@@ -162,7 +163,7 @@ def test_section5_example2_students_by_division(uni, session):
     students = [uni.db.store.get(r.oid) for r in uni.student_refs]
     expected_names = {s["name"] for s in students
                       if dept_of(uni, s["dept"])["floor"] == floor}
-    result = session.query("""
+    result = last_value(session, """
         range of S is Students
         retrieve (S.name) by S.dept.division where S.dept.floor = %d
     """ % floor)
@@ -181,7 +182,7 @@ def test_implicit_set_path_correlation(uni, session):
     """)
     employee = materialized_employees(uni)[0]
     kid = next(iter(employee["kids"]))
-    result = session.query(
+    result = last_value(session,
         'range of E is Employees retrieve (E.get_ssnum("%s"))' % kid["name"])
     all_ssnums = {t for r in result.elements()
                   for s in r["get_ssnum"].elements()
@@ -191,13 +192,13 @@ def test_implicit_set_path_correlation(uni, session):
 
 def test_from_over_named_difference(session, uni):
     session.run("retrieve (E.name) from E in Employees into Copy")
-    result = session.query(
+    result = last_value(session,
         "retrieve (x) from x in (Employees - Employees)")
     assert result == MultiSet()
 
 
 def test_cross_product_two_vars(uni, session):
-    result = session.query("""
+    result = last_value(session, """
         range of S is Students, E is Employees
         retrieve (S.name, E.name)
     """)
@@ -214,44 +215,44 @@ def test_into_creates_named_object(uni, session):
 
 
 def test_unique_deduplicates(uni, session):
-    dup = session.query("range of S is Students retrieve (S.dept.name)")
-    unique = session.query(
+    dup = last_value(session, "range of S is Students retrieve (S.dept.name)")
+    unique = last_value(session,
         "range of S is Students retrieve unique (S.dept.name)")
     assert unique == dup.dedup()
 
 
 def test_unknown_name_raises(session):
     with pytest.raises(TranslationError):
-        session.query("retrieve (Nonexistent.name)")
+        last_value(session, "retrieve (Nonexistent.name)")
 
 
 def test_unknown_attribute_raises(session):
     with pytest.raises(TranslationError):
-        session.query("range of E is Employees retrieve (E.nonsense)")
+        last_value(session, "range of E is Employees retrieve (E.nonsense)")
 
 
 def test_value_mode_returns_bare_values(uni, session):
-    result = session.query(
+    result = last_value(session,
         "retrieve value (E.salary) from E in Employees")
     assert all(isinstance(v, int) for v in result)
 
 
 def test_aggregate_plain_call(uni, session):
-    result = session.query("retrieve value (count(Employees))")
+    result = last_value(session, "retrieve value (count(Employees))")
     assert result == len(uni.employee_refs)
 
 
 def test_method_call_via_field_syntax(uni, session):
     """x.age — a zero-argument method invoked without parentheses."""
-    result = session.query(
+    result = last_value(session,
         "retrieve value (E.age) from E in Employees")
     assert all(isinstance(v, int) and v > 0 for v in result)
 
 
 def test_arithmetic_in_targets(uni, session):
-    result = session.query(
+    result = last_value(session,
         "retrieve (double = E.salary * 2) from E in Employees")
-    salaries = session.query(
+    salaries = last_value(session,
         "retrieve value (E.salary) from E in Employees")
     assert MultiSet(t["double"] for t in result) == MultiSet(
         s * 2 for s in salaries)
@@ -259,7 +260,7 @@ def test_arithmetic_in_targets(uni, session):
 
 def test_from_over_array_collection(uni, session):
     """Iterating an array (TopTen) coerces it to a multiset (bagof)."""
-    result = session.query("retrieve (T.name) from T in TopTen")
+    result = last_value(session, "retrieve (T.name) from T in TopTen")
     store = uni.db.store
     expected = MultiSet(Tup(name=store.get(r.oid)["name"])
                         for r in uni.db.get("TopTen"))
@@ -268,13 +269,13 @@ def test_from_over_array_collection(uni, session):
 
 def test_range_over_array_collection(uni, session):
     session.run("range of T is TopTen")
-    result = session.query("retrieve (T.salary)")
+    result = last_value(session, "retrieve (T.salary)")
     assert len(result) == len(uni.db.get("TopTen"))
 
 
 def test_from_over_named_set_path(uni, session):
     """`from E in Departments.employees` — the domain itself is a path
     through an implicit named-object variable (nested iteration)."""
-    result = session.query(
+    result = last_value(session,
         "retrieve (E.name) from E in Departments.employees")
     assert len(result) == len(uni.db.get("Employees"))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.values import MultiSet
 from repro.excess import Session
 from repro.workloads import build_university
+from tests.conftest import INTERPRETED, last_value
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ by_keys = st.sampled_from([None, "S.dept", "S.dept.division", "S.city"])
 
 
 def run_query(uni, source):
-    return Session(uni.db).query(source)
+    return last_value(Session(uni.db, INTERPRETED), source)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ from repro.core.values import MultiSet, Ref, Tup
 from repro.excess import Session, TranslationError
 from repro.storage import Database
 from repro.workloads import build_university
+from tests.conftest import INTERPRETED, last_value
 
 
 @pytest.fixture
@@ -28,14 +29,14 @@ def session(uni):
 def test_append_values_to_value_collection():
     db = Database()
     db.create("Nums", MultiSet([1, 2]))
-    Session(db).run("append to Nums value (3)")
+    Session(db, INTERPRETED).run("append to Nums value (3)")
     assert db.get("Nums") == MultiSet([1, 2, 3])
 
 
 def test_append_preserves_duplicates():
     db = Database()
     db.create("Nums", MultiSet([1]))
-    Session(db).run("append to Nums value (1)")
+    Session(db, INTERPRETED).run("append to Nums value (1)")
     assert db.get("Nums").cardinality(1) == 2
 
 
@@ -43,7 +44,8 @@ def test_append_computed_from_query():
     db = Database()
     db.create("Src", MultiSet([1, 2, 3]))
     db.create("Dst", MultiSet())
-    Session(db).run("append to Dst value (x) from x in Src where x > 1")
+    Session(db, INTERPRETED).run(
+        "append to Dst value (x) from x in Src where x > 1")
     assert db.get("Dst") == MultiSet([2, 3])
 
 
@@ -63,7 +65,7 @@ def test_append_structures_to_ref_collection_creates_objects(uni, session):
     assert len(after) == before + 1
     assert all(isinstance(r, Ref) for r in after)
     # The new object is a first-class Student: typed, queryable.
-    found = session.query(
+    found = last_value(session,
         "range of S is Students retrieve (S.name) where S.ssnum = 777")
     assert found == MultiSet([Tup(name="Zed")])
     new_ref = next(r for r in after.elements()
@@ -83,7 +85,7 @@ def test_append_to_non_multiset_rejected():
     db = Database()
     db.create("Scalar", 5)
     with pytest.raises(TranslationError):
-        Session(db).run("append to Scalar value (1)")
+        Session(db, INTERPRETED).run("append to Scalar value (1)")
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +95,21 @@ def test_append_to_non_multiset_rejected():
 
 def test_delete_with_predicate(uni, session):
     before = len(uni.db.get("Students"))
-    qualifying = len(session.query(
+    qualifying = len(last_value(session,
         "retrieve value (S.gpa) from S in Students where S.gpa < 3.0"))
     result = session.run(
         "range of S is Students delete S where S.gpa < 3.0")
     assert result[-1].value == qualifying
     assert len(uni.db.get("Students")) == before - qualifying
-    remaining = session.query("retrieve value (S.gpa) from S in Students")
+    remaining = last_value(session,
+                           "retrieve value (S.gpa) from S in Students")
     assert all(g >= 3.0 for g in remaining)
 
 
 def test_delete_all_without_predicate():
     db = Database()
     db.create("Nums", MultiSet([1, 2, 3]))
-    Session(db).run("delete Nums")
+    Session(db, INTERPRETED).run("delete Nums")
     assert db.get("Nums") == MultiSet()
 
 
@@ -122,13 +125,13 @@ def test_delete_leaves_objects_in_store(uni, session):
 def test_delete_unknown_var():
     db = Database()
     with pytest.raises(TranslationError):
-        Session(db).run("delete Ghost")
+        Session(db, INTERPRETED).run("delete Ghost")
 
 
 def test_delete_through_deref_paths(uni, session):
     """Predicates dereference implicitly, like queries do."""
     before = len(uni.db.get("Students"))
-    floor1 = len(session.query(
+    floor1 = len(last_value(session,
         "retrieve value (S.gpa) from S in Students where S.dept.floor = 1"))
     session.run("range of S is Students delete S where S.dept.floor = 1")
     assert len(uni.db.get("Students")) == before - floor1
@@ -140,13 +143,13 @@ def test_delete_through_deref_paths(uni, session):
 
 
 def test_replace_updates_objects_in_place(uni, session):
-    before = session.query(
+    before = last_value(session,
         'retrieve value (E.salary) from E in Employees '
         'where E.city = "Madison"')
     session.run('range of E is Employees '
                 'replace E (salary = E.salary + 1000) '
                 'where E.city = "Madison"')
-    after = session.query(
+    after = last_value(session,
         'retrieve value (E.salary) from E in Employees '
         'where E.city = "Madison"')
     assert sorted(after) == sorted(v + 1000 for v in before)
@@ -169,13 +172,14 @@ def test_replace_preserves_identity(uni, session):
 def test_replace_value_collection():
     db = Database()
     db.create("Points", MultiSet([Tup(x=1, y=1), Tup(x=2, y=2)]))
-    Session(db).run("range of P is Points replace P (y = P.x * 10)")
+    Session(db, INTERPRETED).run(
+        "range of P is Points replace P (y = P.x * 10)")
     assert db.get("Points") == MultiSet([Tup(x=1, y=10), Tup(x=2, y=20)])
 
 
 def test_replace_without_predicate_touches_everything(uni, session):
     session.run("range of E is Employees replace E (zip = 99999)")
-    zips = session.query("retrieve value (E.zip) from E in Employees")
+    zips = last_value(session, "retrieve value (E.zip) from E in Employees")
     assert set(zips.elements()) == {99999}
 
 
@@ -183,13 +187,14 @@ def test_replace_unknown_field_rejected():
     db = Database()
     db.create("Points", MultiSet([Tup(x=1)]))
     with pytest.raises(KeyError):
-        Session(db).run("range of P is Points replace P (ghost = 1)")
+        Session(db, INTERPRETED).run(
+            "range of P is Points replace P (ghost = 1)")
 
 
 def test_replace_changes_visible_to_subsequent_queries(uni, session):
     """Update then query in one script — the session is transactional
     in the trivial sense (statements apply in order)."""
-    value = session.query("""
+    value = last_value(session, """
         range of E is Employees
         replace E (salary = 12345) where E.salary > 0
         retrieve unique (E.salary)

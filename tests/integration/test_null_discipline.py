@@ -15,6 +15,7 @@ from repro.core.operators import (Comp, DE, Deref, Grp, Pi, SetApply,
 from repro.core.predicates import Atom
 from repro.core.values import DNE, UNK, MultiSet, Tup
 from repro.workloads import build_university, figures
+from tests.conftest import last_value
 
 
 @pytest.fixture
@@ -46,7 +47,7 @@ def test_dangling_dept_rows_vanish_from_figure_4(uni):
 def test_dangling_employee_vanishes_from_range_query(uni):
     victim = next(uni.db.get("Employees").elements())
     uni.db.store.delete(victim.oid)
-    names = uni.session.query(
+    names = last_value(uni.session,
         "range of E is Employees retrieve (E.name)")
     assert len(names) == len(uni.db.get("Employees")) - 1
 
@@ -57,7 +58,7 @@ def test_dangling_ref_in_grouping_key_drops_element(uni):
     victim_student = next(uni.db.get("Students").elements())
     dept = uni.db.store.get(victim_student.oid)["dept"]
     uni.db.store.delete(dept.oid)
-    groups = uni.session.query("""
+    groups = last_value(uni.session, """
         range of S is Students
         retrieve (S.name) by S.dept.division
     """)
@@ -73,7 +74,7 @@ def test_aggregate_over_emptied_set_yields_dne_and_row_drops(uni):
     rather than carrying a null into the output."""
     db = uni.db
     db.create("Empty", MultiSet())
-    result = uni.session.query(
+    result = last_value(uni.session,
         "range of E is Employees "
         "retrieve (E.name, min(x from x in Empty))")
     assert result == MultiSet()
@@ -126,7 +127,7 @@ def test_comp_of_dangling_deref_is_false_not_error(uni):
     victim = next(uni.db.get("Employees").elements())
     target = uni.db.store.get(victim.oid)["dept"]
     uni.db.store.delete(target.oid)
-    result = uni.session.query(
+    result = last_value(uni.session,
         "range of E is Employees retrieve (E.name) "
         "where E.dept.floor = 1")
     names = {t["name"] for t in result.elements()}

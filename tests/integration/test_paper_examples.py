@@ -16,6 +16,7 @@ from repro.workloads import figures
 from repro.workloads.dispatch import (build_population, define_boss_methods,
                                       define_rich_subords_methods,
                                       switch_plan, union_plan)
+from tests.conftest import last_value
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +51,14 @@ def test_figure_3_matches_store(uni):
 
 def test_figure_3_equals_excess_query(uni):
     algebra_result, _ = run(uni, figures.figure_3())
-    excess_result = uni.session.query(
+    excess_result = last_value(uni.session,
         "retrieve (TopTen[5].name, TopTen[5].salary)")
     assert algebra_result == excess_result
 
 
 def test_figure_4_matches_excess_query(uni):
     algebra_result, _ = run(uni, figures.figure_4())
-    excess_result = uni.session.query(
+    excess_result = last_value(uni.session,
         'retrieve (Employees.dept.name) where Employees.city = "Madison"')
     assert algebra_result == excess_result
 
@@ -119,7 +120,7 @@ def test_example2_all_three_trees_agree(uni):
 
 def test_example2_matches_excess_query(uni):
     r9, _ = run(uni, figures.figure_9(FLOOR))
-    excess_result = uni.session.query("""
+    excess_result = last_value(uni.session, """
         range of S is Students
         retrieve (S.name) by S.dept.division where S.dept.floor = %d
     """ % FLOOR)

@@ -1,9 +1,8 @@
 """The unified ``connect()``/``execute()`` entry point.
 
-Covers the Connection surface, the self-describing Result, the
-deprecation shims over the legacy entry points, and the per-statement
-stats-hygiene guarantees (counters describe exactly one statement,
-even when a prior statement aborted mid-pipeline).
+Covers the Connection surface, the self-describing Result, and the
+per-statement stats-hygiene guarantees (counters describe exactly one
+statement, even when a prior statement aborted mid-pipeline).
 """
 
 import gc
@@ -14,7 +13,6 @@ import pytest
 from repro import Connection, Database, ExecutionOptions, MultiSet, connect
 from repro.core.expr import Named, evaluate
 from repro.core.operators import SetCollapse
-from repro.excess.session import Session, run
 from repro.obs import QueryStats, Span
 
 DDL = """
@@ -106,27 +104,7 @@ def test_tracing_toggle_is_live():
     assert conn.execute("retrieve (N) from N in Nums").trace is None
 
 
-# -- deprecation shims ----------------------------------------------------
-
-def test_direct_session_construction_warns():
-    with pytest.warns(DeprecationWarning, match="repro.connect"):
-        Session(Database())
-
-
-def test_module_level_run_warns_but_works():
-    db = Database()
-    db.create("Xs", MultiSet([5]))
-    with pytest.warns(DeprecationWarning, match="connect"):
-        value = run(db, "retrieve (X) from X in Xs")
-    assert [t["X"] for t in value.elements()] == [5]
-
-
-def test_session_query_warns_but_works():
-    conn = fresh_connection()
-    with pytest.warns(DeprecationWarning, match="execute"):
-        value = conn.session.query("retrieve (N) from N in Nums")
-    assert len(value) == 3
-
+# -- no deprecated spelling left ------------------------------------------
 
 def test_connect_path_does_not_warn():
     with warnings.catch_warnings():

@@ -1,14 +1,15 @@
-"""The unified ExecutionOptions surface: validation, the legacy-keyword
-deprecation shims, per-statement overrides, and README doc-sync."""
+"""The unified ExecutionOptions surface: validation, per-statement
+overrides, the absence of any second spelling, and README doc-sync."""
 
 import dataclasses
 import pathlib
+import re
 import warnings
 
 import pytest
 
-from repro import Database, ExecutionOptions, MultiSet, connect
-from repro.options import ENGINES, merge_legacy_options
+from repro import Connection, Database, ExecutionOptions, MultiSet, connect
+from repro.options import ENGINES
 
 DDL = """
 create Nums: { int4 }
@@ -82,7 +83,7 @@ def test_connect_accepts_options_positionally():
     conn = connect(Database(), ExecutionOptions(engine="batched",
                                                 parallel=2))
     assert conn.engine == "batched"
-    assert conn.session.parallel == 2
+    assert conn.session.options.parallel == 2
     assert conn.options.engine == "batched"
 
 
@@ -111,19 +112,16 @@ def test_session_exposes_options_snapshot():
     assert options.engine == "batched" and options.batch_size == 16
 
 
-# -- legacy-keyword shims --------------------------------------------------
+# -- one spelling ------------------------------------------------------------
 
-def test_legacy_keywords_warn_but_work():
-    db = Database()
-    with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-        conn = connect(db, engine="interpreted", verify=True)
-    assert conn.engine == "interpreted"
-    assert conn.session.verify is True
-
-
-def test_options_plus_legacy_keywords_is_an_error():
-    with pytest.raises(TypeError, match="not both"):
-        connect(Database(), ExecutionOptions(), engine="interpreted")
+def test_options_are_the_only_way_to_pass_a_switch():
+    """Nine fields, and no per-keyword spelling beside them."""
+    assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
+        "engine", "verify", "analyze", "sanitize", "trace", "batch_size",
+        "parallel", "access_paths", "readers"]
+    for call in (connect, Connection):
+        with pytest.raises(TypeError):
+            call(Database(), engine="interpreted")
 
 
 def test_options_path_does_not_warn():
@@ -133,12 +131,6 @@ def test_options_path_does_not_warn():
         conn.execute(DDL)
         value = conn.execute("retrieve (N) from N in Nums").value
         assert isinstance(value, MultiSet) and len(value) == 2
-
-
-def test_merge_legacy_options_passthrough():
-    options = ExecutionOptions(engine="batched")
-    assert merge_legacy_options(options, "here") is options
-    assert merge_legacy_options(None, "here") == ExecutionOptions()
 
 
 # -- documentation sync ----------------------------------------------------
@@ -153,3 +145,13 @@ def test_docs_mention_every_option_field(doc):
         assert field.name in text, (
             "%s does not mention ExecutionOptions.%s" % (doc, field.name))
     assert "ExecutionOptions" in text
+
+
+def test_readme_options_example_lists_exactly_the_fields():
+    """The quickstart's ``ExecutionOptions(...)`` example is the options
+    table: one keyword per field, and none for a field that is gone."""
+    text = (pathlib.Path(__file__).resolve().parents[2]
+            / "README.md").read_text()
+    block = text.split("opts = ExecutionOptions(", 1)[1].split("\n)", 1)[0]
+    assert sorted(re.findall(r"^ +(\w+)=", block, re.M)) == sorted(
+        f.name for f in dataclasses.fields(ExecutionOptions))

@@ -6,6 +6,9 @@ import urllib.request
 
 import pytest
 
+from repro import ExecutionOptions
+from repro.obs.metrics import (QUERY_ERRORS_TOTAL, QUERY_SECONDS,
+                               SANITIZER_CHECKS_TOTAL)
 from repro.server import Server, ServerThread
 from repro.server.client import ClientPool, ServerClient, ServerError
 from repro.storage import Database
@@ -65,6 +68,37 @@ def test_errors_map_to_codes(hosted):
         assert err.value.code in ("parse", "execute")
         # The connection survives errors.
         assert _scalars(client.execute("retrieve (1)")) == [1]
+
+
+def test_failed_reads_and_writes_both_reach_the_query_metrics(hosted):
+    with _connect(hosted) as client:
+        for failing in ("retrieve (S.name) from S in Nowhere",
+                        "append to Nowhere (x = 1)"):
+            errors, timed = QUERY_ERRORS_TOTAL.value(), QUERY_SECONDS.count()
+            with pytest.raises(ServerError):
+                client.execute(failing)
+            assert QUERY_ERRORS_TOTAL.value() == errors + 1, failing
+            assert QUERY_SECONDS.count() == timed + 1, failing
+
+
+def test_snapshot_reads_honour_the_servers_checks(tmp_path):
+    """verify / sanitize run on the reader path against the snapshot it
+    reads, exactly as they do on the writer path."""
+    server = Server(str(tmp_path / "db"),
+                    ExecutionOptions(sanitize=True, verify=True))
+    with ServerThread(server), _connect(server) as client:
+        client.execute("create Codes: { int4 }")
+        for v in (1, 2, 2):
+            client.execute("append to Codes value ($v)", params={"v": v})
+        checks = SANITIZER_CHECKS_TOTAL.value()
+        assert sorted(_scalars(client.execute(
+            "retrieve unique (C) from C in Codes"))) == [1, 2]
+        assert SANITIZER_CHECKS_TOTAL.value() > checks
+        # Ill-sorted: an int4 has no fields.  A coded error, not rows.
+        with pytest.raises(ServerError) as err:
+            client.execute("retrieve (C.name) from C in Codes")
+        assert err.value.code == "execute"
+        assert "AlgebraTypeError" in str(err.value)
 
 
 def test_explicit_transaction_across_requests(hosted):

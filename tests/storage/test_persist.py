@@ -22,6 +22,7 @@ from repro.storage.persist import (PersistError, database_from_json,
                                    database_to_json, load_database,
                                    save_database)
 from repro.workloads import build_university
+from tests.conftest import INTERPRETED, last_value
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +139,9 @@ def test_queries_survive_reload(saved_university):
     uni, path = saved_university
     query = ("range of E is Employees retrieve (E.boss()) "
              "where E.dept.floor = 1")
-    before = uni.session.query(query)
+    before = last_value(uni.session, query)
     db2 = load_database(path, functions={"age": uni.db.functions["age"]})
-    assert Session(db2).query(query) == before
+    assert last_value(Session(db2, INTERPRETED), query) == before
 
 
 def test_identity_survives_reload(saved_university):
@@ -170,7 +171,7 @@ def test_created_types_survive_and_drive_translation(saved_university):
     """Deref-on-entry for { ref T } collections needs created_types."""
     _, path = saved_university
     db2 = load_database(path)
-    result = Session(db2).query(
+    result = last_value(Session(db2, INTERPRETED),
         "range of S is Students retrieve (S.gpa)")
     assert len(result) == 12
 
@@ -178,7 +179,7 @@ def test_created_types_survive_and_drive_translation(saved_university):
 def test_ddl_continues_after_reload(saved_university):
     _, path = saved_university
     db2 = load_database(path)
-    session = Session(db2)
+    session = Session(db2, INTERPRETED)
     session.run("define type Course: (title: char[]) create Courses: { Course }")
     assert "Courses" in db2
 
@@ -206,9 +207,10 @@ def test_empty_database_round_trips(tmp_path):
 def test_updates_after_reload(saved_university):
     _, path = saved_university
     db2 = load_database(path)
-    session = Session(db2)
+    session = Session(db2, INTERPRETED)
     session.run("range of S is Students delete S where S.gpa < 3.0")
-    remaining = session.query("retrieve value (S.gpa) from S in Students")
+    remaining = last_value(session,
+                           "retrieve value (S.gpa) from S in Students")
     assert all(g >= 3.0 for g in remaining)
 
 

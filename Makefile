@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-test verify-plans bench-smoke trace-smoke bench-engine bench-batch crashtest bench-txn sanitize batch-differential serve-smoke bench-server bench-server-reads bench-server-full
+.PHONY: test lint bench bench-ab bench-test verify-plans bench-smoke trace-smoke bench-engine bench-batch crashtest bench-txn sanitize batch-differential serve-smoke bench-server bench-server-reads bench-server-full
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,6 +22,25 @@ lint:
 # end-to-end and per-layer metric by name; see bench/README.md.
 bench:
 	python3 bench/run.py
+
+# A/B before opening a PR: BASE (any git revision) against the working
+# tree on one workload, REPEAT report runs each, judged by
+# bench/compare.py, whose exit status (non-zero on any `worse`) is this
+# target's.  BASE is exported whole with `git archive` into a temporary
+# directory, which leaves no worktree bookkeeping behind if the run is
+# interrupted.  Both reports land in bench/out/ab-{base,head}.json.
+BASE ?= HEAD
+WORKLOAD ?= wire_hot
+REPEAT ?= 3
+bench-ab:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir -p "$$tmp/base" bench/out && \
+	git archive "$(BASE)" | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && python3 bench/run.py --workload $(WORKLOAD) \
+		--repeat $(REPEAT) --out "$(CURDIR)/bench/out/ab-base.json") && \
+	python3 bench/run.py --workload $(WORKLOAD) --repeat $(REPEAT) \
+		--out bench/out/ab-head.json && \
+	python3 bench/compare.py bench/out/ab-base.json bench/out/ab-head.json
 
 # The benchmark's own tests (estimators, input determinism, the answer
 # checker, BENCHMARK.json agreement, a --smoke run).

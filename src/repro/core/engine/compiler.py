@@ -42,8 +42,10 @@ type, so redefining methods between executions requires recompiling.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import chain
 from time import perf_counter
+from types import CodeType
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ...obs import Span
@@ -352,13 +354,16 @@ class _FusedCodegen:
     match the interpreter's per-element ticks without per-element dict
     costs — and without any per-element stage dispatch.
 
-    Recognized body shapes — DEREF/TUP_EXTRACT/π chains over INPUT and
-    ``path = literal`` σ atoms — are additionally *inlined* into the
+    Recognized body shapes — DEREF/TUP_EXTRACT/π/TUP_CREATE chains over
+    INPUT, and σ atoms comparing a field of INPUT with a literal by
+    ``=``/``!=`` or an order comparator (``<``/``<=``/``>``/``>=``,
+    through ``_compare_scalars``) — are additionally *inlined* into the
     generated loop (including the deref cache probe, whose cache/store
     locals are hoisted out of the loop), so the common
-    functional-join pipeline runs with no per-element closure calls at
-    all.  Anything else falls back to one compiled-closure call per
-    stage, which is still fused.
+    functional-join pipeline and the ``retrieve (t.x) … where t.k <
+    c`` result builder run with no per-element closure calls at all.
+    Anything else falls back to one compiled-closure call per stage,
+    which is still fused.
 
     Null discipline inside the generated loop: ``dne`` never travels
     (multisets drop it at the source and every step ``continue``\\ s on
@@ -374,6 +379,8 @@ class _FusedCodegen:
             "exact_type_of": exact_type_of, "AlgebraError": AlgebraError,
             "Tup": Tup, "Ref": Ref, "DerefCache": DerefCache,
             "_fresh_cache": _fresh_cache, "_MISSING": _MISSING,
+            "tup_from_map": Tup._from_map,
+            "_compare_scalars": _compare_scalars,
         }
         self.uses_deref = False
         self.inlined = 0
@@ -421,6 +428,16 @@ class _FusedCodegen:
                 "got %r' % (value,))",
                 "    value = value.project(%s)" % key,
             ]]
+        if isinstance(expr, TupCreate):
+            inner = self.path_steps(expr.source, sid)
+            if inner is None:
+                return None
+            key = "%s_t%d" % (sid, len(inner))
+            self.namespace[key] = expr.field
+            return inner + [[
+                "if value is not UNK:",
+                "    value = tup_from_map({%s: value})" % key,
+            ]]
         if isinstance(expr, Deref):
             inner = self.path_steps(expr.source, sid)
             if inner is None:
@@ -450,12 +467,15 @@ class _FusedCodegen:
         return None
 
     def filter_lines(self, pred: Predicate, i: int) -> Optional[List[str]]:
-        """Inline an equality/inequality σ atom against a literal:
-        ``Atom(TupExtract(field, INPUT), = | !=, Const)``.  Returns the
-        code block (which manages ce/ae counters and keep/drop), or
-        None to fall back to a compiled predicate closure.
+        """Inline a comparison σ atom against a literal:
+        ``Atom(TupExtract(field, INPUT), = | != | < | <= | > | >=,
+        Const)``.  Returns the code block (which manages ce/ae counters
+        and keep/drop), or None to fall back to a compiled predicate
+        closure.  Order comparators go through ``_compare_scalars``, so
+        incomparable types give U (the occurrence becomes ``unk``).
         """
-        if not isinstance(pred, Atom) or pred.op not in ("=", "!="):
+        if (not isinstance(pred, Atom)
+                or pred.op not in ("=", "!=") + _RANGE_OPS):
             return None
         left, right = pred.left, pred.right
         if not (isinstance(left, TupExtract) and isinstance(left.source, Input)
@@ -470,8 +490,16 @@ class _FusedCodegen:
                                % left.field)
         if pred.op == "=":
             verdicts = ["    elif lhs != %s: continue" % cst]
-        else:
+        elif pred.op == "!=":
             verdicts = ["    elif lhs == %s: continue" % cst]
+        else:
+            verdicts = [
+                "    else:",
+                "        verdict = _compare_scalars(%r, lhs, %s)"
+                % (pred.op, cst),
+                "        if verdict == F: continue",
+                "        if verdict == U: value = UNK",
+            ]
         return [
             "if value is not UNK:",
             "    ce%d += 1" % i,
@@ -577,8 +605,17 @@ class _FusedCodegen:
             head + prologue + ["    try:", "        for value, count in chunks:"]
             + body + ["    finally:"]
             + ["        " + line for line in flush])
-        exec(source, namespace)
+        exec(_compile_driver(source), namespace)
         return namespace["_fused"]
+
+
+@lru_cache(maxsize=256)
+def _compile_driver(source: str) -> CodeType:
+    """Byte-compile a generated driver.  Constants, field names and
+    stage closures live in the namespace, never in the text, so plans
+    of one shape share a source — a plan-cache miss that differs from
+    an earlier plan only in a literal skips the Python compiler."""
+    return compile(source, "<string>", "exec")
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +904,7 @@ class PlanCompiler:
             value = src(v, ctx)
             if value is DNE or value is UNK:
                 return value
-            return Tup({field: value})
+            return Tup._from_map({field: value})
         return fn
 
     # -- references & methods ------------------------------------------
@@ -1144,6 +1181,9 @@ class PlanCompiler:
                 rest_gen = rest_codegen.build(rest)
         self.note("FUSED_APPLY[%d stage(s), %d inlined] over %s"
                   % (len(nodes), codegen.inlined, type(node).__name__))
+        if rest:
+            self.note("FUSED_APPLY[%d stage(s), %d inlined] over index probe"
+                      % (len(rest), rest_codegen.inlined))
         path_desc = probe.describe(name)
         self.note("INDEX_PROBE candidate[%s] with scan fallback"
                   % path_desc)

@@ -120,6 +120,11 @@ class ServerClient:
         line = self._rfile.readline()
         if not line:
             raise ConnectionError("server closed the connection")
+        if not line.endswith(b"\n"):
+            # The server went away mid-line: a dropped connection, so a
+            # pool lease discards this client instead of reusing it.
+            raise ConnectionError("server closed the connection "
+                                  "mid-response")
         payload = json.loads(line.decode("utf-8"))
         if not payload.get("ok"):
             error = payload.get("error") or {}

@@ -28,6 +28,11 @@ The response::
 ``rows`` is the last statement's result rendered with the storage
 layer's tagged value encoding (:func:`repro.core.serialize.value_to_json`),
 so references, tuples, arrays, and multisets survive the wire exactly.
+The rows are written as JSON text directly, without building the tagged
+dicts, and each distinct element of a multiset result is encoded once
+and repeated per occurrence (the multiset is a map from element to
+cardinality, §3.2.1).  The text is byte-for-byte
+``json.dumps(value_to_json(row), separators=(",", ":"))``.
 
 Error codes (:data:`ERROR_CODES`): ``protocol`` (malformed request),
 ``parse`` (bad EXCESS/EXTRA source), ``execute`` (runtime failure),
@@ -38,14 +43,18 @@ Error codes (:data:`ERROR_CODES`): ``protocol`` (malformed request),
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from decimal import Decimal
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.serialize import value_to_json
+from ..core.values import Arr, MultiSet, Null, Ref, Tup
 from ..excess.pipeline import reads_only, statements
 
-__all__ = ["ERROR_CODES", "ProtocolError", "Request", "decode_request",
-           "encode_response", "error_response", "result_response",
-           "classify_source", "bind_params"]
+__all__ = ["ERROR_CODES", "EncodedRows", "ProtocolError", "Request",
+           "decode_request", "encode_response", "error_response",
+           "result_response", "classify_source", "bind_params"]
 
 #: Every ``error.code`` a response can carry.
 ERROR_CODES = ("protocol", "parse", "execute", "txn", "timeout",
@@ -119,9 +128,28 @@ def decode_request(line: bytes) -> Request:
 # Responses
 # ---------------------------------------------------------------------------
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class EncodedRows(list):
+    """Response rows already rendered as JSON text, one string per row;
+    :func:`encode_response` splices them into the line verbatim."""
+
+    __slots__ = ()
+
+
 def encode_response(payload: Dict[str, Any]) -> bytes:
-    return (json.dumps(payload, separators=(",", ":"))
-            .encode("utf-8") + b"\n")
+    """The response line: ``json.dumps(payload, separators=(",", ":"))``
+    with :class:`EncodedRows` written as the JSON array they spell."""
+    rows = payload.get("rows")
+    if not isinstance(rows, EncodedRows):
+        return _encode(payload).encode("utf-8") + b"\n"
+    members = ",".join(
+        "%s:%s" % (_quote(key),
+                   "[%s]" % ",".join(rows) if value is rows
+                   else _encode(value))
+        for key, value in payload.items())
+    return ("{%s}\n" % members).encode("utf-8")
 
 
 def error_response(code: str, message: str,
@@ -136,15 +164,17 @@ def error_response(code: str, message: str,
 
 def result_response(results: List[Any], request_id: Any = None,
                     explain: Optional[str] = None) -> Dict[str, Any]:
-    """Render a list of session :class:`~repro.excess.session.Result`
-    objects (one script's worth) as the wire response.  *explain* (the
-    last statement's EXPLAIN ANALYZE text, when the request asked for
-    it) rides along so remote ``.analyze`` output matches local."""
+    """Render a list of :class:`~repro.excess.pipeline.Result` objects
+    (one script's worth) as the wire response; the last one's rows
+    become :class:`EncodedRows` in :meth:`Result.rows` order.
+    *explain* (the last statement's EXPLAIN ANALYZE text, when the
+    request asked for it) rides along so remote ``.analyze`` output
+    matches local."""
     out: Dict[str, Any] = {"ok": True, "statements": len(results)}
     if results:
         last = results[-1]
         out["kind"] = last.kind
-        out["rows"] = [value_to_json(row) for row in last.rows()]
+        out["rows"] = _row_texts(last.value)
         out["seconds"] = sum(r.seconds for r in results)
         out["stats"] = last.stats.as_dict()
     else:
@@ -157,6 +187,89 @@ def result_response(results: List[Any], request_id: Any = None,
     if request_id is not None:
         out["id"] = request_id
     return out
+
+
+def _row_texts(value: Any) -> EncodedRows:
+    """*value*'s rows as :meth:`Result.rows` lists them — a multiset's
+    occurrences, an array's items, else the value itself — each
+    distinct multiset element encoded once."""
+    rows = EncodedRows()
+    if value is None:
+        return rows
+    if isinstance(value, MultiSet):
+        for element, count in value.items():
+            rows.extend([_row_text(element)] * count)
+    elif isinstance(value, Arr):
+        rows.extend(map(_row_text, value))
+    else:
+        rows.append(_row_text(value))
+    return rows
+
+
+class _NoRule(Exception):
+    """The text encoder has no rule for a (sub)value."""
+
+
+def _row_text(value: Any) -> str:
+    try:
+        return _text(value)
+    except _NoRule:
+        return _encode(value_to_json(value))
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+#: JSON text of each plain scalar type, as ``json.dumps`` writes it.
+#: Exact types only: a subclass may override ``__repr__``.
+_SCALARS: Dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
+
+
+def _scalar(value: Any) -> str:
+    """A JSON scalar inside the tagged encoding (names, oids, counts)."""
+    if value is None:
+        return "null"
+    rule = _SCALARS.get(type(value))
+    if rule is None:
+        raise _NoRule
+    return rule(value)
+
+
+def _text(value: Any) -> str:
+    """``_encode(value_to_json(value))``, written without the dicts."""
+    kind = type(value)
+    rule = _SCALARS.get(kind)
+    if rule is not None:
+        return '{"t":"val","v":%s}' % rule(value)
+    if kind is Tup:
+        return '{"t":"tup","type":%s,"fields":[%s]}' % (
+            _scalar(value.type_name),
+            ",".join(["[%s,%s]" % (_scalar(name), _text(item))
+                      for name, item in value.fields]))
+    if kind is MultiSet:
+        return '{"t":"set","counts":[%s]}' % ",".join(
+            ["[%s,%s]" % (_text(element), _scalar(count))
+             for element, count in value.items()])
+    if kind is Arr:
+        return '{"t":"arr","items":[%s]}' % ",".join(map(_text, value))
+    if kind is Ref:
+        return '{"t":"ref","oid":%s,"type":%s}' % (
+            _scalar(value.oid), _scalar(value.type_name))
+    if kind is Null:
+        return '{"t":"null","kind":%s}' % _quote(value.kind)
+    raise _NoRule
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +323,18 @@ def _render_literal(name: str, value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return repr(value)
+        # The lexer reads digits with an optional fraction: no exponent,
+        # no nan/inf.  Write the shortest round-tripping digits
+        # positionally, keeping a "." so the token stays a FLOAT.
+        if not math.isfinite(value):
+            raise ProtocolError("parameter $%s must be a finite number"
+                                % name)
+        text = repr(value)
+        if "e" in text:
+            text = format(Decimal(text), "f")
+            if "." not in text:
+                text += ".0"
+        return text
     if isinstance(value, str):
         if '"' not in value:
             return '"%s"' % value

@@ -3,16 +3,20 @@ the deref cache, hash-join recognition, engine selection, session
 stats hygiene, and the engine-aware cost model.
 """
 
+import re
+
 import pytest
 
 from repro.core.engine import (DerefCache, Pipeline, compile_plan,
                                match_hash_join)
+from repro.core.engine.compiler import _compile_driver
 from repro.core.expr import AlgebraError, Const, Input, Named, evaluate
-from repro.core.operators import (Pi, SetApply, TupExtract, rel_join,
-                                  sigma)
-from repro.core.optimizer import CostModel, ObjectStats, Statistics
+from repro.core.operators import (Pi, SetApply, TupCreate, TupExtract,
+                                  rel_join, sigma)
+from repro.core.optimizer import CostModel, ObjectStats, Optimizer, Statistics
 from repro.core.predicates import Atom
-from repro.core.values import DNE, MultiSet, Tup
+from repro.core.values import DNE, UNK, Arr, MultiSet, Tup
+from repro.excess.pipeline import prepare, statements
 from repro.options import ExecutionOptions
 from repro.storage import Database
 from repro.workloads import build_university, figures
@@ -313,3 +317,72 @@ def test_compiled_error_messages_match_interpreter():
     with pytest.raises(AlgebraError) as comp_err:
         evaluate(plan, db.context(), mode="compiled")
     assert str(comp_err.value) == str(interp_err.value)
+
+
+# ---------------------------------------------------------------------------
+# Inlined fused-loop steps
+# ---------------------------------------------------------------------------
+
+#: One row per kind of field value an order atom can meet: comparable
+#: scalars of every type, mismatched structures, and both nulls (DNE
+#: drops the row, UNK turns it into an unk occurrence).
+_ORDER_FIELDS = [-3, 0, 2, 7, 2.5, -0.5, 1e9, "", "a", "m", "zz", True,
+                 False, Arr([1]), Tup(g=1), DNE, UNK, 2, "a", UNK]
+
+
+@pytest.mark.parametrize("literal", [2, 2.5, "m"])
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_inlined_order_atom_and_tup_create_match_interpreter(op, literal):
+    db = Database()
+    db.create("R", MultiSet(Tup(f=value, i=i)
+                            for i, value in enumerate(_ORDER_FIELDS)))
+    plan = SetApply(TupCreate("x", TupExtract("f", Input())),
+                    sigma(Atom(TupExtract("f", Input()), op,
+                               Const(literal)), Named("R")))
+    assert ("FUSED_APPLY[2 stage(s), 2 inlined] over Named"
+            in compile_plan(plan).notes)
+    runs = []
+    for mode in ("interpreted", "compiled"):
+        ctx = db.context()
+        value = evaluate(plan, ctx, mode=mode)
+        runs.append((value, {name: ctx.stats.get(name, 0) for name in
+                             ("comp_evals", "atom_evals",
+                              "elements_scanned")}))
+    assert runs[0] == runs[1]
+
+
+def test_indexed_range_retrieve_runs_without_closure_stages():
+    """`retrieve (t.v) … where t.k < c` over an ordered index — the
+    wire benchmark's range reply — compiles both its scan and its
+    probe-fed chain to fully inlined loops; a shape that falls back to
+    per-element closures would show fewer inlined than stages."""
+    db = Database()
+    db.create("Big", MultiSet(Tup(k=k, v=k % 97) for k in range(1000)))
+    db.indexes.create_index("ordered", "Big", TupExtract("k", Input()))
+    statement, = statements("retrieve (t.v) from t in Big where t.k < 300")
+    step = prepare(statement, db, {}, ExecutionOptions(), Optimizer())
+    pattern = re.compile(r"FUSED_APPLY\[(\d+) stage\(s\), (\d+) inlined\]")
+    fused = [m.groups() for m in map(pattern.match, step.plan.notes) if m]
+    assert len(fused) == 2      # the scan fallback and the probe's chain
+    assert all(stages == inlined for stages, inlined in fused)
+
+
+def test_plans_differing_in_a_literal_share_a_driver_but_not_answers():
+    """Generated drivers read literals from their namespace, so a second
+    plan of the same shape reuses the byte-compiled driver — and must
+    still answer with its own literal."""
+    db = Database()
+    db.create("R", MultiSet(Tup(k=k, v=k * 10) for k in range(6)))
+
+    def plan(op, literal):
+        return SetApply(TupCreate("x", TupExtract("v", Input())),
+                        sigma(Atom(TupExtract("k", Input()), op,
+                                   Const(literal)), Named("R")))
+
+    compile_plan(plan("<", 2))
+    hits = _compile_driver.cache_info().hits
+    got = evaluate(plan("<", 4), db.context(), mode="compiled")
+    assert _compile_driver.cache_info().hits > hits
+    assert got == MultiSet(Tup(x=v) for v in (0, 10, 20, 30))
+    assert (evaluate(plan(">=", 4), db.context(), mode="compiled")
+            == MultiSet([Tup(x=40), Tup(x=50)]))

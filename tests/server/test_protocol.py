@@ -2,13 +2,21 @@
 classification, response shapes."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
 
+from repro.api import connect
+from repro.core.serialize import value_to_json
+from repro.core.values import Arr, MultiSet
+from repro.excess.pipeline import Result
 from repro.server.protocol import (ProtocolError, bind_params,
                                    classify_source, decode_request,
                                    encode_response, error_response,
                                    result_response)
+from repro.storage import Database
+from tests.storage.test_persist import wire_values
 
 
 # -- decode_request ---------------------------------------------------------
@@ -93,6 +101,25 @@ def test_bind_rejects_exotic_types():
         bind_params("$x", {"x": [1, 2]})
 
 
+@pytest.mark.parametrize("value", [1e-05, 1e20, 1e300, -0.0, 0.1, 5e-324,
+                                   -1.5e-07, 2.5])
+def test_bind_float_round_trips_through_the_lexer(value):
+    source = bind_params("retrieve ($p)", {"p": value})
+    row, = connect(Database()).execute(source).rows()
+    (_, got), = row.fields
+    assert type(got) is float
+    assert got == value
+    assert math.copysign(1.0, got) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_bind_rejects_non_finite_floats(value):
+    with pytest.raises(ProtocolError) as err:
+        bind_params("retrieve ($p)", {"p": value})
+    assert err.value.code == "protocol"
+
+
 # -- classify_source --------------------------------------------------------
 
 @pytest.mark.parametrize("source", [
@@ -136,3 +163,23 @@ def test_result_response_empty():
     assert payload["rows"] == []
     assert payload["kind"] == "empty"
     assert payload["id"] == "r1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_values)
+def test_response_rows_are_the_tagged_encoding_byte_for_byte(value):
+    """The text encoder writes exactly what ``json.dumps`` of
+    ``value_to_json`` wrote, per row and in ``Result.rows()`` order,
+    whether the value is a retrieve's multiset, an array or a scalar."""
+    for shaped in (value, MultiSet(counts={value: 3}), Arr([value, value])):
+        result = Result("retrieve", None, shaped)
+        want = [value_to_json(row) for row in result.rows()]
+        payload = result_response([result], request_id=1)
+        texts = list(payload["rows"])
+        assert texts == [json.dumps(row, separators=(",", ":"))
+                         for row in want]
+        line = encode_response(payload)
+        decoded = json.loads(line)["rows"]
+        # NaN != NaN, so compare the decoded rows through their text.
+        assert ([json.dumps(row) for row in decoded]
+                == [json.dumps(row) for row in want])

@@ -1,6 +1,8 @@
 """End-to-end server tests over real sockets (in-process server)."""
 
 import json
+import socket
+import threading
 import time
 import urllib.request
 
@@ -276,3 +278,33 @@ def test_client_pool(hosted):
         # Released clients are reused.
         with pool.connection() as again:
             assert again in (c1, c2)
+
+
+def test_pool_drops_a_client_whose_response_was_cut_off():
+    """A server that dies mid-line leaves a line with no newline.  That
+    is a dropped connection: the pool discards the client, and the next
+    execute dials a fresh one."""
+    replies = [b'{"ok":true,"kind":"retrieve","ro',
+               b'{"ok":true,"kind":"retrieve","rows":[]}\n']
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+
+    def serve():
+        for reply in replies:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as requests:
+                requests.readline()
+                conn.sendall(reply)
+
+    stub = threading.Thread(target=serve, daemon=True)
+    stub.start()
+    try:
+        with ClientPool(listener.getsockname()[1], size=1) as pool:
+            with pytest.raises(ConnectionError):
+                pool.execute("retrieve (1)")
+            assert pool._idle == [] and pool._created == 0
+            assert pool.execute("retrieve (1)").raw_rows == []
+        stub.join(timeout=10.0)
+        assert not stub.is_alive()
+    finally:
+        listener.close()

@@ -60,15 +60,50 @@ def test_malformed_value_payload():
         value_from_json({"t": "mystery"})
 
 
+def _collections(children, field_names=st.sampled_from(["a", "b"])):
+    return st.one_of(
+        st.lists(children, max_size=3).map(MultiSet),
+        st.lists(children, max_size=3).map(Arr),
+        st.dictionaries(field_names, children, max_size=2).map(Tup))
+
+
 nested_values = st.recursive(
     st.one_of(st.integers(-5, 5), st.text("ab", max_size=3),
               st.booleans()),
+    _collections, max_leaves=8)
+
+#: Characters JSON text must escape or that ``ensure_ascii`` rewrites:
+#: quotes, backslashes, control characters, non-ASCII (BMP and astral)
+#: and lone surrogates.
+_AWKWARD = st.text(st.sampled_from(
+    "a\"\\" + "".join(map(chr, (0x00, 0x08, 0x0A, 0x1F, 0x7F, 0xE9, 0x20AC,
+                                 0x1F600, 0xD800, 0xDFFF)))),
+    max_size=4)
+_NAMES = st.one_of(st.none(), st.sampled_from(["Student", 'Odd"Type']),
+                   _AWKWARD)
+
+#: nested_values widened to everything a wire reply can carry: typed
+#: tuples, references, both nulls, every float class (nan breaks ==,
+#: so these are for encoders, not round trips), big ints, awkward
+#: strings and multisets with counts above one.
+wire_values = st.recursive(
+    st.one_of(
+        st.integers(), st.integers(-2 ** 100, 2 ** 100),
+        st.floats(),
+        st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                         -0.0, 5e-324, 2 ** 64, -2 ** 64 - 1]),
+        _AWKWARD, st.booleans(), st.sampled_from([DNE, UNK]),
+        st.builds(Ref, st.one_of(st.integers(0, 10 ** 12), _AWKWARD),
+                  _NAMES)),
     lambda children: st.one_of(
-        st.lists(children, max_size=3).map(MultiSet),
-        st.lists(children, max_size=3).map(Arr),
-        st.dictionaries(st.sampled_from(["a", "b"]), children,
-                        max_size=2).map(Tup)),
-    max_leaves=8)
+        _collections(children, st.one_of(st.sampled_from(["a", "b"]),
+                                          _AWKWARD)),
+        st.builds(lambda fields, name: Tup(fields, type_name=name),
+                  st.dictionaries(st.sampled_from(["a", "b"]), children,
+                                  max_size=2), _NAMES),
+        st.lists(st.tuples(children, st.integers(1, 4)), max_size=3)
+        .map(lambda pairs: MultiSet(counts=dict(pairs)))),
+    max_leaves=10)
 
 
 @settings(max_examples=80, deadline=None)

@@ -59,13 +59,12 @@ sanitize:
 	$(PYTHON) -m repro.cli sanitize
 	$(PYTHON) -m pytest tests/analysis/test_sanitizer.py tests/analysis/test_absint.py -q
 
-# Four-mode differential gate: the 240-plan classic corpus plus the
+# Batch differential gate: the 240-plan classic corpus plus the
 # 60-plan batch-stressing corpus, each plan run interpreted /
-# compiled / batched / 2-way partition-parallel; any divergence or
-# sanitizer violation fails.
+# compiled / batched; any divergence or sanitizer violation fails.
 batch-differential:
-	$(PYTHON) -m repro.cli sanitize --batched --parallel 2
-	$(PYTHON) -m pytest tests/engine/test_batch_engine.py tests/engine/test_partitions.py -q
+	$(PYTHON) -m repro.cli sanitize --batched
+	$(PYTHON) -m pytest tests/engine/test_batch_engine.py -q
 
 # Tier-2 sanity gate: one tiny run per paper figure (<30 s), asserting
 # the paper-claimed winner directions and engine agreement.
@@ -79,16 +78,16 @@ bench-smoke:
 trace-smoke:
 	$(PYTHON) -m repro.workloads.trace_smoke
 
-# Full engine comparison (interpreted / compiled / batched /
-# partition-parallel); writes BENCH_engine.json and asserts the
-# compiled>=2x-over-interpreted and batched>=2x-over-compiled floors.
+# Full engine comparison (interpreted / compiled / batched); writes
+# BENCH_engine.json and asserts the compiled>=2x-over-interpreted and
+# batched>=2x-over-compiled floors.
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_compare.py -q
 
-# The batched + partition-parallel series against the compiled
-# baseline (interpreted deselected), asserting the batched>=2x floor;
-# the aggregation test still cross-checks all four engines' values
-# and rewrites BENCH_engine.json.
+# The batched series against the compiled baseline (interpreted
+# deselected), asserting the batched>=2x floor; the aggregation test
+# still cross-checks all three engines' values and rewrites
+# BENCH_engine.json.
 bench-batch:
 	$(PYTHON) -m pytest benchmarks/bench_engine_compare.py -q \
 		-k "not interpreted"

@@ -3,8 +3,7 @@
 Times the Figure 4 functional join and both Figure 5 dispatch
 strategies under the recursive interpreter (``Expr.evaluate``), the
 streaming plan compiler (:mod:`repro.core.engine`), and the columnar
-batch engine — serial and R(n) partition-parallel — on a population
-large enough for per-element overheads to dominate.  Plans are
+batch engine on a population large enough for per-element overheads to dominate.  Plans are
 compiled once and executed per round — a compiled
 :class:`~repro.core.engine.Pipeline` is a reusable artifact, which is
 precisely its point (the interpreter has the same split: the tree is
@@ -15,12 +14,10 @@ The aggregation test folds the pytest-benchmark means into
 work counters (including deref-cache hit/miss rates) — and asserts
 the headline claims: compiled is at least 2× faster than interpreted,
 and batched at least 2× faster than compiled, on the Fig. 4 and
-Fig. 5 workloads.  The partition-parallel series is recorded without
-a speedup floor: fork + pickle overhead dominates on the small CI
-boxes, so the series documents the shape rather than gating on it.
+Fig. 5 workloads.
 
 Run via ``make bench-engine`` (or ``make bench-batch`` for just the
-batched/parallel series) or
+batched series) or
 ``PYTHONPATH=src python -m pytest benchmarks/bench_engine_compare.py``.
 """
 
@@ -31,7 +28,7 @@ from time import perf_counter
 import pytest
 
 from repro.core import evaluate
-from repro.core.engine import compile_batch_plan, compile_plan, partition_plan
+from repro.core.engine import compile_batch_plan, compile_plan
 from repro.workloads import build_university, figures
 from repro.workloads.dispatch import (build_population, define_boss_methods,
                                       define_rich_subords_methods,
@@ -45,7 +42,6 @@ SPEEDUP_FLOOR = 2.0
 #: batched over compiled, same floor the paper-era claim used for
 #: compiled over interpreted.
 BATCH_SPEEDUP_FLOOR = 2.0
-PARALLEL_WORKERS = 2
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                         "BENCH_engine.json")
 
@@ -109,18 +105,6 @@ def _batched(uni, workload):
     return runner, ctx
 
 
-def _parallel(uni, workload):
-    expr = _plans(uni)[workload]
-    plan = partition_plan(expr, compile_batch_plan(expr),
-                          parallel=PARALLEL_WORKERS)
-    ctx = uni.db.context()
-
-    def runner():
-        ctx.begin_query()
-        return plan.execute(ctx)
-    return runner, ctx
-
-
 @pytest.mark.parametrize("workload", ["fig4_functional_join",
                                       "fig5_switch_dispatch",
                                       "fig5_union_dispatch"])
@@ -148,45 +132,31 @@ def test_batched(benchmark, big_uni, workload):
     assert len(value) > 0
 
 
-@pytest.mark.parametrize("workload", ["fig4_functional_join",
-                                      "fig5_switch_dispatch",
-                                      "fig5_union_dispatch"])
-def test_parallel(benchmark, big_uni, workload):
-    runner, _ = _parallel(big_uni, workload)
-    value = _record(benchmark, workload, "parallel", runner)
-    assert len(value) > 0
-
-
 def test_engines_agree_and_report(big_uni):
     """Correctness cross-check, speedup floor, and the JSON report."""
     if not MEANS:
         pytest.skip("benchmark means not collected (tests deselected)")
     report = {"population": {"n_employees": 2000, "n_students": 500},
               "speedup_floor": SPEEDUP_FLOOR,
-              "batch_speedup_floor": BATCH_SPEEDUP_FLOOR,
-              "parallel_workers": PARALLEL_WORKERS, "workloads": {}}
+              "batch_speedup_floor": BATCH_SPEEDUP_FLOOR, "workloads": {}}
     for workload in _plans(big_uni):
         i_runner, i_ctx = _interpreted(big_uni, workload)
         c_runner, c_ctx = _compiled(big_uni, workload)
         b_runner, b_ctx = _batched(big_uni, workload)
-        p_runner, p_ctx = _parallel(big_uni, workload)
         reference = i_runner()
         assert reference == c_runner(), workload
         assert reference == b_runner(), workload
-        assert reference == p_runner(), workload
         means = MEANS.get(workload, {})
         entry = {
             "interpreted_mean_s": means.get("interpreted"),
             "compiled_mean_s": means.get("compiled"),
             "batched_mean_s": means.get("batched"),
-            "parallel_mean_s": means.get("parallel"),
             "interpreted_stats": dict(sorted(i_ctx.stats.items())),
             "compiled_stats": dict(sorted(c_ctx.stats.items())),
             "batched_stats": dict(sorted(b_ctx.stats.items())),
-            "parallel_stats": dict(sorted(p_ctx.stats.items())),
         }
         mins = MINS.get(workload, {})
-        for engine in ("interpreted", "compiled", "batched", "parallel"):
+        for engine in ("interpreted", "compiled", "batched"):
             entry["%s_min_s" % engine] = mins.get(engine)
         # Speedups gate CI, so compute them from best-case (min) times:
         # shared runners inflate means unpredictably but leave the
@@ -196,9 +166,6 @@ def test_engines_agree_and_report(big_uni):
         if mins.get("compiled") and mins.get("batched"):
             entry["batched_speedup_over_compiled"] = (
                 mins["compiled"] / mins["batched"])
-        if mins.get("batched") and mins.get("parallel"):
-            entry["parallel_speedup_over_batched"] = (
-                mins["batched"] / mins["parallel"])
         report["workloads"][workload] = entry
     with open(OUT_PATH, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -219,9 +186,6 @@ def test_engines_agree_and_report(big_uni):
         assert batched is not None, "no batched timing for %s" % workload
         assert batched >= BATCH_SPEEDUP_FLOOR, (
             "%s: batched only %.2fx over compiled" % (workload, batched))
-    # Partition-parallel is recorded, not floored: 2-way forking costs
-    # ~10 ms of pickle + pipe per run, which swamps these workloads on
-    # the 1-CPU CI boxes.  The series exists to document the shape.
 
 
 # -- index-backed access paths: selectivity-swept lookups ----------------

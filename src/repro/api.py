@@ -126,8 +126,8 @@ class Connection:
 
         ``options=`` overrides the connection's execution switches for
         this call alone — e.g. ``conn.execute(q,
-        options=conn.options.replace(engine="batched", parallel=2))``
-        runs one statement partition-parallel.  The override travels
+        options=conn.options.replace(engine="batched"))`` runs one
+        statement on the batched engine.  The override travels
         down the pipeline as an argument; the connection's own options
         are never touched.  (The optimizer keeps the connection's cost
         model; only execution switches swap.)

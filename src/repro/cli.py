@@ -13,8 +13,6 @@ commands (lines starting with a dot):
     .optimize on|off     toggle rule-based optimization of queries
     .engine [name]       show or set the execution engine
                          (interpreted | compiled | batched)
-    .parallel [n]        show or set the partition-parallel worker
-                         count (batched engine only; 0 = serial)
     .begin               begin an explicit transaction
     .commit              commit the active transaction
     .abort               abort (roll back) the active transaction
@@ -55,16 +53,19 @@ when any error-severity finding is reported.
 ``python -m repro.cli metrics [--json]`` prints the process metrics
 registry and exits.
 
-``python -m repro.cli sanitize [--plans N] [--seed N]`` runs the
-abstract-interpretation sanitizer sweep — the paper-figure queries plus
-seeded random plans, each executed interpreted, compiled, compiled with
-analysis licenses, and compiled with every proven fact asserted at
-runtime — and exits nonzero on any disagreement or violation.
+``python -m repro.cli sanitize [--plans N] [--seed N] [--batched]``
+runs the abstract-interpretation sanitizer sweep — the paper-figure
+queries plus seeded random plans, each executed interpreted, compiled,
+compiled with analysis licenses, and compiled with every proven fact
+asserted at runtime — and exits nonzero on any disagreement or
+violation.  ``--batched`` adds the batched engine as a fifth mode and
+the batch-stressing plan corpus.
 
 ``python -m repro.cli index list|create|drop <dir> …`` manages index
-definitions of a durable database directory: creates and drops are
-journaled DDL (they survive restarts and replay from the WAL), and
-``list`` shows the same table as the shell's ``.indexes``.
+definitions of an existing durable database directory (one holding
+``snapshot.json`` or ``wal.log``): creates and drops are journaled DDL
+(they survive restarts and replay from the WAL), and ``list`` shows
+the same table as the shell's ``.indexes``.
 
 ``python -m repro.cli serve --db <dir> [--port N] [--metrics-port N]``
 hosts the concurrent network server (:mod:`repro.server`): newline-
@@ -75,6 +76,7 @@ writes, and an optional HTTP ``/metrics`` endpoint.  Equivalent to
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import List, Optional
 
@@ -188,7 +190,6 @@ class Shell:
                             ExecutionOptions(engine="interpreted"))
         self.session = self.conn.session
         self.optimize = False
-        self.parallel = 0
         self.last_stats = {}
 
     def _reconnect(self) -> None:
@@ -197,15 +198,6 @@ class Shell:
         execution options and tracing state."""
         self.conn = connect(self.db, self.conn.options)
         self.session = self.conn.session
-
-    def _set_options(self, **changes) -> None:
-        """Apply *changes* to the connection's options.  The chosen
-        ``.parallel`` degree rides along only while the engine is
-        batched — the one engine ExecutionOptions accepts it on."""
-        options = self.conn.options.replace(parallel=0, **changes)
-        if options.engine == "batched":
-            options = options.replace(parallel=self.parallel)
-        self.conn.options = options
 
     # -- meta commands -------------------------------------------------
 
@@ -259,23 +251,8 @@ class Shell:
                 return "engine: %s" % self.conn.engine
             if choice not in ENGINES:
                 return "usage: .engine %s" % "|".join(ENGINES)
-            self._set_options(engine=choice)
+            self.conn.options = self.conn.options.replace(engine=choice)
             return "engine set to %s" % choice
-        if command == ".parallel":
-            choice = argument.strip()
-            if not choice:
-                return "parallel: %d" % self.parallel
-            try:
-                degree = int(choice)
-            except ValueError:
-                return "usage: .parallel <n>"
-            if degree < 0:
-                return "usage: .parallel <n>  (n >= 0)"
-            self.parallel = degree
-            self._set_options()
-            note = ("" if self.conn.engine == "batched" or degree < 2
-                    else " (takes effect with .engine batched)")
-            return "parallel set to %d%s" % (degree, note)
         if command == ".begin":
             from .storage import TxnError
             try:
@@ -310,7 +287,8 @@ class Shell:
         if command == ".sanitize":
             choice = argument.strip().lower()
             if choice in ("on", "off"):
-                self._set_options(sanitize=choice == "on")
+                self.conn.options = self.conn.options.replace(
+                    sanitize=choice == "on")
             sanitizing = self.conn.options.sanitize
             state = "on" if sanitizing else "off"
             if sanitizing and self.conn.engine == "interpreted":
@@ -473,28 +451,33 @@ def run_sanitize(argv: List[str]) -> int:
 
     Runs the paper-figure queries over the university database plus a
     seeded batch of random plans through four modes — interpreted,
-    compiled, compiled-with-licenses, compiled-with-sanitizer — and
-    exits nonzero if any mode disagrees with the interpreter or any
-    statically proven fact is violated at runtime.
+    compiled, compiled-with-licenses, compiled-with-sanitizer — plus
+    the batched engine with ``--batched``, and exits nonzero if any
+    mode disagrees with the interpreter or any statically proven fact
+    is violated at runtime.  A missing or non-integer count, or a
+    negative ``--plans``, is a usage error (exit 2).
     """
     from .workloads.plangen import N_PLANS, run_sanitize_sweep
-    n_plans, seed, parallel, batched = N_PLANS, 0, 0, False
+    usage = ("usage: python -m repro.cli sanitize "
+             "[--plans N] [--seed N] [--batched]")
+    counts = {"--plans": N_PLANS, "--seed": 0}
+    batched = False
     it = iter(argv)
-    for word in it:
-        if word == "--plans":
-            n_plans = int(next(it, "0"))
-        elif word == "--seed":
-            seed = int(next(it, "0"))
-        elif word == "--parallel":
-            parallel = int(next(it, "0"))
-        elif word == "--batched":
-            batched = True
-        else:
-            print("usage: python -m repro.cli sanitize "
-                  "[--plans N] [--seed N] [--batched] [--parallel N]")
-            return 2
-    report = run_sanitize_sweep(n_plans=n_plans, seed=seed,
-                                batched=batched, parallel=parallel)
+    try:
+        for word in it:
+            if word == "--batched":
+                batched = True
+            elif word in counts:
+                counts[word] = int(next(it))
+            else:
+                raise ValueError(word)
+        if counts["--plans"] < 0:
+            raise ValueError(counts["--plans"])
+    except (StopIteration, ValueError):
+        print(usage)
+        return 2
+    report = run_sanitize_sweep(n_plans=counts["--plans"],
+                                seed=counts["--seed"], batched=batched)
     print(report.render())
     return 1 if report.failed else 0
 
@@ -511,6 +494,10 @@ def run_index(argv: List[str]) -> int:
         print(usage)
         return 2
     action, directory = argv[0], argv[1]
+    if not any(os.path.exists(os.path.join(directory, name))
+               for name in ("snapshot.json", "wal.log")):
+        print("error: no database at %s" % directory)
+        return 1
     from .storage import open_database
     db = open_database(directory)
     try:

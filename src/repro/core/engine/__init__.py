@@ -7,8 +7,6 @@ Public surface:
 * :func:`compile_batch_plan` — the same physical algebra exchanging
   columnar :class:`Batch` objects between operators (tight-loop fused
   chains, per-OID suffix memoization, grouped method dispatch).
-* :func:`partition_plan` — wrap a batch pipeline in OID-pool R(n)
-  partitioning with forked workers and a deterministic merge.
 * :class:`Pipeline` — the compiled plan; ``execute(ctx)`` runs it,
   ``explain()`` shows the physical choices made.
 * :class:`DerefCache` — the per-query OID → value LRU consulted by
@@ -27,7 +25,6 @@ from .batch import (DEFAULT_BATCH_SIZE, Batch, BatchPlanCompiler,
 from .cache import DEFAULT_CAPACITY, DerefCache
 from .compiler import (HashJoinMatch, Pipeline, PlanCompiler, cached_deref,
                        compile_plan, match_hash_join)
-from .partition import PartitionPlan, partition_plan
 
 __all__ = [
     "Batch",
@@ -36,12 +33,10 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "DerefCache",
     "HashJoinMatch",
-    "PartitionPlan",
     "Pipeline",
     "PlanCompiler",
     "cached_deref",
     "compile_batch_plan",
     "compile_plan",
     "match_hash_join",
-    "partition_plan",
 ]

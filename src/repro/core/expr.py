@@ -297,8 +297,7 @@ class Func(Expr):
 def evaluate(expr: Expr, ctx: EvalContext, input_value: Any = _UNBOUND,
              mode: str = "interpreted", facts: Any = None,
              cost_model: Any = None, access_paths: str = "auto",
-             analysis: Any = None, sanitize: bool = False,
-             batch_size: "int | None" = None, parallel: int = 0) -> Any:
+             analysis: Any = None, sanitize: bool = False) -> Any:
     """Evaluate a top-level expression.
 
     A bare INPUT at top level is an error unless *input_value* is given
@@ -310,8 +309,9 @@ def evaluate(expr: Expr, ctx: EvalContext, input_value: Any = _UNBOUND,
     :mod:`repro.core.engine`, which lowers the tree once and pipelines
     occurrence pairs through fused physical operators), or
     ``"batched"`` (the same physical algebra exchanging columnar
-    :class:`~repro.core.engine.batch.Batch` objects, ``batch_size``
-    occurrence slots at a time).
+    :class:`~repro.core.engine.batch.Batch` objects,
+    :data:`~repro.core.engine.batch.DEFAULT_BATCH_SIZE` occurrence slots
+    at a time).
 
     ``facts`` (compiled engines only) carries verified plan facts —
     e.g. duplicate-freedom from the static analysis layer — that the
@@ -329,14 +329,6 @@ def evaluate(expr: Expr, ctx: EvalContext, input_value: Any = _UNBOUND,
     is given).  The interpreter has no instrumentation points, so
     ``sanitize`` is a no-op under ``mode="interpreted"``.
 
-    ``parallel`` >= 2 (batched mode only) partitions the leaf extent by
-    the paper's OID-pool construction R(n) and runs the partitions
-    across forked workers with a deterministic merge — see
-    :mod:`repro.core.engine.partition`.  Plans the partitioner cannot
-    prove safe fall back to serial batched execution; the sanitizer's
-    whole-extent cardinality proofs do not distribute over partitions,
-    so ``sanitize`` also forces serial.
-
     When ``ctx.tracer`` is set and enabled, a span tree for the run is
     attached under the tracer's cursor: per physical operator for the
     compiled engine, one root span for the interpreter.
@@ -348,15 +340,13 @@ def evaluate(expr: Expr, ctx: EvalContext, input_value: Any = _UNBOUND,
     plan = lower(expr, mode, trace=tracer is not None and tracer.enabled,
                  facts=facts, cost_model=cost_model,
                  access_paths=access_paths, analysis=analysis,
-                 sanitize=sanitize, batch_size=batch_size,
-                 parallel=parallel)
+                 sanitize=sanitize)
     return run_plan(expr, plan, ctx, input_value)
 
 
 def lower(expr: Expr, mode: str, trace: bool = False, facts: Any = None,
           cost_model: Any = None, access_paths: str = "auto",
-          analysis: Any = None, sanitize: bool = False,
-          batch_size: "int | None" = None, parallel: int = 0) -> Any:
+          analysis: Any = None, sanitize: bool = False) -> Any:
     """The physical plan the *mode* engine runs for *expr* — ``None``
     for the interpreter, which walks the tree itself.
 
@@ -378,18 +368,11 @@ def lower(expr: Expr, mode: str, trace: bool = False, facts: Any = None,
                             cost_model=cost_model,
                             access_paths=access_paths,
                             sanitize=analysis if sanitize else None)
-    from .engine.batch import DEFAULT_BATCH_SIZE, compile_batch_plan
-    size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
-    plan = compile_batch_plan(expr, facts=facts, trace=trace,
+    from .engine.batch import compile_batch_plan
+    return compile_batch_plan(expr, facts=facts, trace=trace,
                               cost_model=cost_model,
                               access_paths=access_paths,
-                              sanitize=analysis if sanitize else None,
-                              batch_size=size)
-    if parallel >= 2 and not sanitize:
-        from .engine.partition import partition_plan
-        plan = partition_plan(expr, plan, facts=facts,
-                              parallel=parallel, batch_size=size)
-    return plan
+                              sanitize=analysis if sanitize else None)
 
 
 def run_plan(expr: Expr, plan: Any, ctx: EvalContext,

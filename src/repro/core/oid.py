@@ -45,26 +45,6 @@ class OIDError(ValueError):
     """Raised for malformed OIDs or illegal domain operations."""
 
 
-def pool_code(oid) -> int:
-    """The f-code of the raw pool R(n) an OID was drawn from.
-
-    Decodes the ``1…10`` prefix of the paper's construction without
-    needing a generator instance: the count of leading ones is f(n).
-    Returns 0 for values that are not well-formed pool OIDs (non-ints,
-    or integers lacking the prefix) — callers use the code as a
-    deterministic partition key, so "no pool" must not raise.
-    """
-    if not isinstance(oid, int) or oid < 0:
-        return 0
-    digits = str(oid)
-    ones = 0
-    while ones < len(digits) and digits[ones] == "1":
-        ones += 1
-    if ones == 0 or ones >= len(digits) or digits[ones] != "0":
-        return 0
-    return ones
-
-
 class OIDGenerator:
     """Allocates OIDs using the paper's integer-prefix construction.
 

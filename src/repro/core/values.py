@@ -109,12 +109,6 @@ class Ref:
     def __ne__(self, other: Any) -> bool:
         return not self.__eq__(other)
 
-    def __reduce__(self):
-        # Slot classes with an immutable __setattr__ break default
-        # pickling; partition-parallel execution ships results between
-        # processes, so rebuild through the constructor instead.
-        return (Ref, (self.oid, self.type_name))
-
 
 class Tup:
     """An immutable, ordered, named tuple of algebra values.
@@ -247,11 +241,6 @@ class Tup:
     def __ne__(self, other: Any) -> bool:
         return not self.__eq__(other)
 
-    def __reduce__(self):
-        # See Ref.__reduce__: constructor-based pickling for the
-        # immutable slot classes, used by partition-parallel workers.
-        return (Tup, (dict(self._map), self.type_name))
-
 
 class Arr:
     """An immutable one-dimensional array of algebra values.
@@ -330,10 +319,6 @@ class Arr:
 
     def __ne__(self, other: Any) -> bool:
         return not self.__eq__(other)
-
-    def __reduce__(self):
-        # See Ref.__reduce__.
-        return (Arr, (self._items,))
 
 
 class MultiSet:
@@ -529,10 +514,6 @@ class MultiSet:
 
     def __ne__(self, other: Any) -> bool:
         return not self.__eq__(other)
-
-    def __reduce__(self):
-        # See Ref.__reduce__.
-        return (MultiSet, ((), dict(self._counts)))
 
 
 #: The sorts of the algebra, used by schema inference and dispatch.

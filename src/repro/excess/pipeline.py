@@ -284,8 +284,7 @@ def prepare(statement: Union[ast.RangeDecl, ast.Retrieve], catalog: Any,
     plan = lower(expr, options.engine, trace=tracer is not None,
                  facts=facts, cost_model=model,
                  access_paths=options.access_paths, analysis=analysis,
-                 sanitize=options.sanitize, batch_size=options.batch_size,
-                 parallel=options.parallel)
+                 sanitize=options.sanitize)
     return Step(statement, expr, plan, analysis, result_type)
 
 
@@ -344,7 +343,7 @@ class PlanCache:
     """An LRU of prepared read scripts at one index epoch.
 
     Keys carry everything that shapes the plans besides the data:
-    (script source, engine, access_paths, batch_size, range bindings).
+    (script source, engine, access_paths, range bindings).
     The data dimension is the **index epoch** the script was prepared
     at — the cache holds plans for exactly one epoch and clears itself
     the first time it is consulted at a newer one, so every commit
@@ -428,7 +427,7 @@ def run_script(source: str, catalog: Any, ctx: EvalContext,
         tracer = None
     key = None
     if cache is not None and tracer is None:
-        key = (source, engine, options.access_paths, options.batch_size,
+        key = (source, engine, options.access_paths,
                tuple(sorted(ranges.items())))
         cached = cache.get(key, catalog.version)
         if cached is not None:

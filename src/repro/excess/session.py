@@ -163,9 +163,7 @@ class Session:
         value = evaluate(expr, self.context, mode=options.engine,
                          cost_model=(self.optimizer.cost_model
                                      if self.optimizer is not None else None),
-                         access_paths=options.access_paths,
-                         batch_size=options.batch_size,
-                         parallel=options.parallel)
+                         access_paths=options.access_paths)
         addition = value if isinstance(value, MultiSet) else MultiSet([value])
 
         declared = getattr(self.db, "created_types", {}).get(collection)

@@ -16,8 +16,7 @@ __all__ = ["ENGINES", "ExecutionOptions"]
 
 #: The recognized execution engines, in increasing order of machinery:
 #: tree-walking interpreter, streaming compiled pipelines, and columnar
-#: batch pipelines (the only engine that honors ``batch_size`` /
-#: ``parallel``).
+#: batch pipelines.
 ENGINES = ("interpreted", "compiled", "batched")
 
 
@@ -34,13 +33,8 @@ class ExecutionOptions:
       statically-empty subtrees, clamp the cost model with proven
       bounds, license bounds-check elision.
     * ``sanitize`` — ``analyze`` with the facts flipped into runtime
-      assertions (implies ``analyze``; forces serial batched
-      execution).
+      assertions (implies ``analyze``).
     * ``trace`` — record per-operator spans on every statement.
-    * ``batch_size`` — elements per :class:`~repro.core.engine.Batch`
-      on the batched engine; ``None`` means the engine default.
-    * ``parallel`` — on the batched engine, partition extents by OID
-      pool across this many forked workers (``0``/``1`` = serial).
     * ``access_paths`` — index probe policy handed to the compiled
       engines: ``"auto"`` (cost-gated), ``"force"``, or ``"off"``.
     * ``readers`` — size of the network server's snapshot-reader
@@ -53,8 +47,6 @@ class ExecutionOptions:
     analyze: bool = False
     sanitize: bool = False
     trace: bool = False
-    batch_size: Optional[int] = None
-    parallel: int = 0
     access_paths: str = "auto"
     readers: Optional[int] = None
 
@@ -66,17 +58,6 @@ class ExecutionOptions:
             # sanitize is analyze with assertions on; keep the pair
             # consistent so callers can read either flag.
             object.__setattr__(self, "analyze", True)
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1, got %r"
-                             % (self.batch_size,))
-        if self.parallel < 0:
-            raise ValueError("parallel must be >= 0, got %r"
-                             % (self.parallel,))
-        if self.parallel >= 2 and self.engine != "batched":
-            raise ValueError(
-                "parallel=%d requires engine='batched' (the %r engine "
-                "has no partition-parallel mode)"
-                % (self.parallel, self.engine))
         if self.access_paths not in ("auto", "force", "off"):
             raise ValueError("access_paths must be 'auto', 'force', or "
                              "'off', got %r" % (self.access_paths,))

@@ -249,10 +249,6 @@ class Server:
         # One ExecutionOptions for every connection the server opens.
         self.options = admin.options
         self.engine = self.options.engine
-        # Reader threads run serial even on the batched engine: forking
-        # partition workers from a threaded asyncio process is unsafe,
-        # and the snapshot guard wraps the reader's own thread only.
-        self._reader_options = self.options.replace(parallel=0)
         self.max_clients = max_clients
         self.readers = self.options.readers or 8
         self.queue_depth = queue_depth
@@ -671,7 +667,7 @@ class Server:
         results = pipeline.observed(
             lambda: pipeline.run_script(
                 source, view, ctx, conn.session.ranges,
-                self._reader_options,
+                self.options,
                 lambda: self._reader_optimizer(view),
                 cache=state.plan_cache),
             self.slow_log, conn.client_id)

@@ -40,7 +40,7 @@ from ..storage import Database
 N_PLANS = 240
 
 #: Size of the batch-stressing sweep (wide arrays, deep deref chains,
-#: disjoint typed unions, skewed partition pools); tests parametrize
+#: disjoint typed unions, a skewed type mix); tests parametrize
 #: over range(N_BATCH_PLANS) with seeds offset by BATCH_SEED_BASE so
 #: the two corpora never overlap.
 N_BATCH_PLANS = 60
@@ -113,9 +113,8 @@ def build_fixture_db() -> Database:
     # when exploded, with UNK occurrences in-band.
     db.create("WideArr", Arr([(i if i % 9 else UNK) for i in range(40)]))
 
-    # Skewed partition pools: one OID pool (Student) dwarfs the others,
-    # so R(n) partitioning under ``parallel`` produces unequal workers
-    # and at least one near-empty partition.
+    # A skewed type mix: one exact type (Student) dwarfs the other, so
+    # a scan meets long same-type runs and a lone outlier.
     skewed = []
     for i in range(30):
         student = Tup({"name": "s%d" % (i % 4), "age": 18 + i % 3,
@@ -261,8 +260,8 @@ class BatchPlanGen(PlanGen):
     """Plans that stress the batched engine's distinctive machinery:
     wide arrays (one value spanning whole batches), deep deref chains
     (suffix memoization and the deref LRU), pairwise-disjoint typed
-    unions over one extent (the fused union scan), and scans over a
-    skewed extent (unequal R(n) partition pools under ``parallel``)."""
+    unions over one extent (the fused union scan), and scans over an
+    extent whose exact types are heavily skewed."""
 
     def deref_chain(self) -> Expr:
         """tag-of-next^k over the Links chain: k nested derefs per
@@ -339,8 +338,7 @@ def generate_batch_plan(seed: int) -> Expr:
 # The differential sweep
 # ---------------------------------------------------------------------------
 
-def run_modes(expr: Expr, db: Database, batched: bool = False,
-              parallel: int = 0) -> dict:
+def run_modes(expr: Expr, db: Database, batched: bool = False) -> dict:
     """Evaluate *expr* several ways; returns ``{mode: (outcome, payload)}``.
 
     * ``interpreted`` — the reference semantics;
@@ -350,17 +348,12 @@ def run_modes(expr: Expr, db: Database, batched: bool = False,
       elision);
     * ``sanitized`` — compiled, with every proven fact asserted against
       the values actually flowing (SanitizerError on violation);
-    * ``batched`` (with ``batched=True`` or ``parallel >= 2``) — the
-      columnar batch engine, serial;
-    * ``parallel`` (with ``parallel >= 2``) — the batch engine under
-      OID-pool R(n) partitioning across that many forked workers.
+    * ``batched`` (with ``batched=True``) — the columnar batch engine.
     """
     from ..core.analysis.absint import analyze
     modes = ["interpreted", "compiled", "licensed", "sanitized"]
-    if batched or parallel >= 2:
+    if batched:
         modes.append("batched")
-    if parallel >= 2:
-        modes.append("parallel")
     out = {}
     for mode in modes:
         ctx = db.context()
@@ -377,11 +370,8 @@ def run_modes(expr: Expr, db: Database, batched: bool = False,
                 analysis = analyze(expr, database=db)
                 value = evaluate(expr, ctx, mode="compiled",
                                  analysis=analysis, sanitize=True)
-            elif mode == "batched":
-                value = evaluate(expr, ctx, mode="batched")
             else:
-                value = evaluate(expr, ctx, mode="batched",
-                                 parallel=parallel)
+                value = evaluate(expr, ctx, mode="batched")
             out[mode] = ("ok", value)
         except Exception as error:  # noqa: BLE001 — comparing identity
             out[mode] = ("error", (type(error).__name__, str(error)))
@@ -429,7 +419,7 @@ class SweepReport:
 
 
 def differential_sweep(n_plans: int = N_PLANS, seed: int = 0,
-                       batched: bool = False, parallel: int = 0,
+                       batched: bool = False,
                        report: Optional[SweepReport] = None) -> SweepReport:
     """Run *n_plans* generated plans through all requested modes."""
     report = report or SweepReport()
@@ -437,30 +427,27 @@ def differential_sweep(n_plans: int = N_PLANS, seed: int = 0,
     for i in range(n_plans):
         expr = generate_plan(seed + i)
         report.record("plan[seed=%d]" % (seed + i), expr,
-                      run_modes(expr, db, batched=batched,
-                                parallel=parallel))
+                      run_modes(expr, db, batched=batched))
     return report
 
 
 def batch_differential_sweep(n_plans: int = N_BATCH_PLANS,
                              seed: int = BATCH_SEED_BASE,
-                             parallel: int = 2,
                              report: Optional[SweepReport] = None,
                              ) -> SweepReport:
-    """The batch-stressing corpus through every mode, including the
-    batch engine serial and (``parallel >= 2``) partition-parallel."""
+    """The batch-stressing corpus through every mode, the batched
+    engine included."""
     report = report or SweepReport()
     db = build_fixture_db()
     for i in range(n_plans):
         expr = generate_batch_plan(seed + i)
         report.record("batch-plan[seed=%d]" % (seed + i), expr,
-                      run_modes(expr, db, batched=True, parallel=parallel))
+                      run_modes(expr, db, batched=True))
     return report
 
 
 def university_sweep(report: Optional[SweepReport] = None,
-                     batched: bool = False,
-                     parallel: int = 0) -> SweepReport:
+                     batched: bool = False) -> SweepReport:
     """The paper-figure queries over the populated university database,
     through the same modes."""
     from .figures import (figure_3, figure_4, figure_6, figure_7, figure_8,
@@ -479,18 +466,16 @@ def university_sweep(report: Optional[SweepReport] = None,
         for j, expr in enumerate(plans):
             suffix = "[%d]" % j if len(plans) > 1 else ""
             report.record(label + suffix, expr,
-                          run_modes(expr, uni.db, batched=batched,
-                                    parallel=parallel))
+                          run_modes(expr, uni.db, batched=batched))
     return report
 
 
 def run_sanitize_sweep(n_plans: int = N_PLANS, seed: int = 0,
-                       batched: bool = False,
-                       parallel: int = 0) -> SweepReport:
+                       batched: bool = False) -> SweepReport:
     """The full CLI sweep: university figures, the random corpus, and
-    (always) the batch-stressing corpus.  ``batched``/``parallel``
-    additionally run the first two corpora through the batch engine."""
-    report = university_sweep(batched=batched, parallel=parallel)
+    (always) the batch-stressing corpus.  ``batched`` additionally runs
+    the first two corpora through the batch engine."""
+    report = university_sweep(batched=batched)
     differential_sweep(n_plans=n_plans, seed=seed, batched=batched,
-                       parallel=parallel, report=report)
-    return batch_differential_sweep(parallel=parallel, report=report)
+                       report=report)
+    return batch_differential_sweep(report=report)

@@ -177,3 +177,42 @@ def test_sanitize_subcommand_smoke():
     from repro.cli import run_sanitize
     assert run_sanitize(["--plans", "5"]) == 0
     assert run_sanitize(["--bogus"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--plans"], ["--plans", "x"],
+                                  ["--plans", "-1"], ["--seed"],
+                                  ["--seed", "1.5"], ["--batched", "--seed"]])
+def test_sanitize_subcommand_rejects_bad_counts(argv, capsys):
+    """A missing or non-integer count is a usage error, never a silent
+    zero-plan sweep or a traceback."""
+    from repro.cli import run_sanitize
+    assert run_sanitize(argv) == 2
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+@pytest.mark.parametrize("argv", [["list"], ["create", "typed", "Nums"],
+                                  ["drop", "keyed", "Nums", "x"]])
+def test_index_subcommand_refuses_a_missing_database(argv, tmp_path,
+                                                     capsys):
+    """A mistyped directory must not turn into a fresh, empty database
+    that ``list`` reports as having no indexes."""
+    from repro.cli import main
+    missing = tmp_path / "no-such-db"
+    assert main(["index", argv[0], str(missing)] + argv[1:]) == 1
+    assert capsys.readouterr().out == "error: no database at %s\n" % missing
+    assert not missing.exists()
+    tmp_path.joinpath("empty").mkdir()
+    assert main(["index", argv[0], str(tmp_path / "empty")] + argv[1:]) == 1
+    assert list(tmp_path.joinpath("empty").iterdir()) == []
+
+
+def test_index_subcommand_on_an_existing_database(tmp_path, capsys):
+    from repro import connect
+    from repro.cli import main
+    home = str(tmp_path / "db")
+    conn = connect(home)
+    conn.execute("create Nums: { int4 }")
+    conn.close()
+    assert main(["index", "create", home, "typed", "Nums"]) == 0
+    assert main(["index", "list", home]) == 0
+    assert "typed" in capsys.readouterr().out

@@ -24,8 +24,7 @@ def test_defaults_match_connect_defaults():
     options = ExecutionOptions()
     assert options.engine == "compiled"
     assert options.verify is False and options.sanitize is False
-    assert options.trace is False and options.parallel == 0
-    assert options.batch_size is None and options.access_paths == "auto"
+    assert options.trace is False and options.access_paths == "auto"
     conn = connect()
     assert conn.options == options
 
@@ -42,17 +41,14 @@ def test_sanitize_implies_analyze():
     assert options.analyze is True
 
 
-def test_parallel_requires_batched_engine():
-    assert ExecutionOptions(engine="batched", parallel=4).parallel == 4
-    with pytest.raises(ValueError, match="batched"):
-        ExecutionOptions(engine="compiled", parallel=2)
-    with pytest.raises(ValueError, match="parallel"):
-        ExecutionOptions(engine="batched", parallel=-1)
+def test_batched_engine_has_no_knobs():
+    """Its batch size is a constant and it always runs serially."""
+    for gone in ({"parallel": 2}, {"batch_size": 8}):
+        with pytest.raises(TypeError):
+            ExecutionOptions(**gone)
 
 
-def test_batch_size_and_access_paths_are_validated():
-    with pytest.raises(ValueError, match="batch_size"):
-        ExecutionOptions(batch_size=0)
+def test_access_paths_are_validated():
     with pytest.raises(ValueError, match="access_paths"):
         ExecutionOptions(access_paths="always")
 
@@ -66,10 +62,10 @@ def test_readers_is_validated():
 
 
 def test_replace_revalidates():
-    options = ExecutionOptions(engine="batched", parallel=2)
-    assert options.replace(parallel=0).engine == "batched"
+    options = ExecutionOptions(engine="batched")
+    assert options.replace(trace=True).engine == "batched"
     with pytest.raises(ValueError):
-        options.replace(engine="interpreted")
+        options.replace(access_paths="always")
 
 
 def test_options_are_immutable():
@@ -81,9 +77,9 @@ def test_options_are_immutable():
 
 def test_connect_accepts_options_positionally():
     conn = connect(Database(), ExecutionOptions(engine="batched",
-                                                parallel=2))
+                                                access_paths="off"))
     assert conn.engine == "batched"
-    assert conn.session.options.parallel == 2
+    assert conn.session.options.access_paths == "off"
     assert conn.options.engine == "batched"
 
 
@@ -107,18 +103,18 @@ def test_execute_override_restores_on_error():
 
 def test_session_exposes_options_snapshot():
     conn = connect(Database(), ExecutionOptions(engine="batched",
-                                                batch_size=16))
+                                                readers=3))
     options = conn.session.options
-    assert options.engine == "batched" and options.batch_size == 16
+    assert options.engine == "batched" and options.readers == 3
 
 
 # -- one spelling ------------------------------------------------------------
 
 def test_options_are_the_only_way_to_pass_a_switch():
-    """Nine fields, and no per-keyword spelling beside them."""
+    """Seven fields, and no per-keyword spelling beside them."""
     assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
-        "engine", "verify", "analyze", "sanitize", "trace", "batch_size",
-        "parallel", "access_paths", "readers"]
+        "engine", "verify", "analyze", "sanitize", "trace", "access_paths",
+        "readers"]
     for call in (connect, Connection):
         with pytest.raises(TypeError):
             call(Database(), engine="interpreted")

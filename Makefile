@@ -54,10 +54,13 @@ verify-plans:
 
 # Abstract-interpretation sanitizer gate: the paper figures plus 240
 # seeded random plans, each run interpreted / compiled / licensed /
-# sanitized; any value mismatch or runtime-violated proof fails.
+# sanitized; any value mismatch or runtime-violated proof fails.  The
+# type checker every `checks` level runs and the shell's `.sanitize`
+# toggle are tested alongside.
 sanitize:
 	$(PYTHON) -m repro.cli sanitize
-	$(PYTHON) -m pytest tests/analysis/test_sanitizer.py tests/analysis/test_absint.py -q
+	$(PYTHON) -m pytest tests/analysis/test_sanitizer.py tests/analysis/test_absint.py tests/analysis/test_inference.py -q
+	$(PYTHON) -m pytest tests/integration/test_cli.py -k sanitize -q
 
 # Batch differential gate: the 240-plan classic corpus plus the
 # 60-plan batch-stressing corpus, each plan run interpreted /

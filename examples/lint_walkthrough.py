@@ -3,9 +3,11 @@
 Three layers on top of the algebra, demonstrated on the Figure 1
 university database:
 
-1. **Inheritance-aware inference** — every plan is typed before it
-   runs (``ExecutionOptions(verify=True)``), with DOM(S)
-   substitutability and declared builtin/method signatures.
+1. **Inheritance-aware inference** — the one type checker: every plan
+   is typed before it runs (``ExecutionOptions(checks="verify")``, the
+   first rung of the ``"off"`` < ``"verify"`` < ``"analyze"`` <
+   ``"sanitize"`` ladder), with DOM(S) substitutability and declared
+   builtin/method signatures.
 2. **The rewrite-soundness gate** — every rewrite the optimizer admits
    must preserve the inferred schema (debug mode for rule authors).
 3. **The plan linter** — coded findings (L100…L106) with source spans
@@ -31,7 +33,7 @@ def main():
 
     # -- 1. verified execution -----------------------------------------
     print("== Verified execution ==")
-    conn = connect(db, ExecutionOptions(verify=True))
+    conn = connect(db, ExecutionOptions(checks="verify"))
     session = conn.session
     result = conn.execute(
         "retrieve (E.name, E.salary) from E in Employees "

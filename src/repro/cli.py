@@ -18,11 +18,12 @@ commands (lines starting with a dot):
     .abort               abort (roll back) the active transaction
     .stats               work counters of the last executed query
     .trace on|off        toggle per-operator trace spans on statements
-    .sanitize on|off     toggle the abstract-interpretation sanitizer:
-                         every statically proven fact (cardinality
-                         bounds, emptiness, array bounds, duplicate
-                         freedom) is asserted against the values the
-                         compiled engine actually produces
+    .sanitize on|off     set the checks level to "sanitize" or "off":
+                         on, every plan is type-checked and every
+                         statically proven fact (cardinality bounds,
+                         emptiness, array bounds, duplicate freedom)
+                         is asserted against the values the compiled
+                         engine actually produces
     .analyze <stmt …>    EXPLAIN ANALYZE: execute under tracing and
                          show the plan with actual vs estimated
                          cardinalities and per-operator wall time
@@ -288,8 +289,8 @@ class Shell:
             choice = argument.strip().lower()
             if choice in ("on", "off"):
                 self.conn.options = self.conn.options.replace(
-                    sanitize=choice == "on")
-            sanitizing = self.conn.options.sanitize
+                    checks="sanitize" if choice == "on" else "off")
+            sanitizing = self.conn.options.checks == "sanitize"
             state = "on" if sanitizing else "off"
             if sanitizing and self.conn.engine == "interpreted":
                 return ("sanitizer %s (note: a no-op on the %s engine — "

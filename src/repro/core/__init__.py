@@ -11,7 +11,6 @@ from .oid import OIDError, OIDGenerator
 from .predicates import (And, Atom, Comp, Not, Or, Predicate, TruePred,
                          kleene_and, kleene_not, kleene_or)
 from .schema import SchemaCatalog, SchemaError, SchemaNode, infer_schema
-from .typecheck import AlgebraTypeError, TypeChecker, checker_for_database
 from .values import (DNE, UNK, Arr, MultiSet, Null, Ref, Tup, is_null,
                      is_scalar, is_value, sort_of)
 
@@ -22,7 +21,6 @@ __all__ = [
     "And", "Atom", "Comp", "Not", "Or", "Predicate", "TruePred",
     "kleene_and", "kleene_not", "kleene_or",
     "SchemaCatalog", "SchemaError", "SchemaNode", "infer_schema",
-    "AlgebraTypeError", "TypeChecker", "checker_for_database",
     "DNE", "UNK", "Arr", "MultiSet", "Null", "Ref", "Tup",
     "is_null", "is_scalar", "is_value", "sort_of",
 ]

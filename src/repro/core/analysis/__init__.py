@@ -1,11 +1,9 @@
 """Static analysis over algebra plans: inference, soundness, linting.
 
-Three passes, layered on the base sort checker of
-:mod:`repro.core.typecheck`:
-
-* :mod:`~repro.core.analysis.inference` — inheritance-aware schema
-  inference (DOM(S) substitutability, typed SET_APPLY narrowing,
-  declared function signatures, method dispatch);
+* :mod:`~repro.core.analysis.inference` — the one type checker:
+  per-operator sort discipline plus inheritance-aware schema inference
+  (DOM(S) substitutability, typed SET_APPLY narrowing, declared
+  function signatures, method dispatch);
 * :mod:`~repro.core.analysis.soundness` — the rewrite-soundness gate
   ("debug mode" for the optimizer) plus the offline rule sweep of
   :mod:`~repro.core.analysis.rulecheck`;
@@ -29,7 +27,8 @@ from .absint import (AbsValue, Interval, PlanAnalysis, SanitizerError,
 from .diagnostics import (LINT_CODES, Diagnostic, Severity, SourceMap,
                           Span, sort_diagnostics)
 from .facts import PlanFacts, duplicate_free, facts_for_database
-from .inference import TypeInference, inference_for_database, substitutable
+from .inference import (AlgebraTypeError, TypeInference,
+                        inference_for_database, substitutable)
 from .lint import Linter, lint
 from .nullflow import (NullFlow, NullInfo, info_of_value,
                        nullflow_for_database)
@@ -42,7 +41,8 @@ __all__ = [
     "Diagnostic", "Severity", "Span", "SourceMap", "LINT_CODES",
     "sort_diagnostics",
     "PlanFacts", "duplicate_free", "facts_for_database",
-    "TypeInference", "inference_for_database", "substitutable",
+    "AlgebraTypeError", "TypeInference", "inference_for_database",
+    "substitutable",
     "Linter", "lint",
     "NullFlow", "NullInfo", "info_of_value", "nullflow_for_database",
     "RuleCheckReport", "verify_all_rules",

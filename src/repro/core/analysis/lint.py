@@ -45,12 +45,12 @@ from ..operators.arrays import ArrApply, ArrDE
 from ..operators.multiset import DE, SetApply
 from ..operators.refs import Deref
 from ..operators.tuples import Pi, TupExtract
-from ..typecheck import AlgebraTypeError
 from ..values import MultiSet, Ref
 from .diagnostics import (LINT_CODES, Diagnostic, SourceMap,
                           sort_diagnostics)
 from .facts import PlanFacts, facts_for_database
-from .inference import TypeInference, inference_for_database
+from .inference import (AlgebraTypeError, TypeInference,
+                        inference_for_database)
 from .nullflow import NullFlow, nullflow_for_database
 
 

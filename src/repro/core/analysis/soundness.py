@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..schema import SchemaNode
-from ..typecheck import AlgebraTypeError, TypeChecker, is_unknown
+from ..schema import SchemaNode, is_unknown
+from .inference import AlgebraTypeError, TypeInference
 
 
 def schemas_compatible(a: Optional[SchemaNode],
@@ -81,9 +81,9 @@ class SoundnessChecker:
     tree is rewritten into an ill-typed one or into a different schema.
     """
 
-    def __init__(self, checker: Optional[TypeChecker] = None,
+    def __init__(self, checker: Optional[TypeInference] = None,
                  input_schema: Optional[SchemaNode] = None):
-        self.checker = checker or TypeChecker()
+        self.checker = checker or TypeInference()
         self.input_schema = input_schema
         self.checked = 0
         self.skipped = 0

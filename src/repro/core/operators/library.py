@@ -28,6 +28,7 @@ from typing import Dict, Sequence
 
 from ..expr import Const, Expr, Func, Input
 from ..predicates import Atom, Comp, Predicate
+from ..schema import SchemaNode, is_unknown, unknown_schema
 from .multiset import Grp, SetApply, SetCollapse
 from .tuples import Pi, TupCat, TupCreate, TupExtract
 
@@ -155,9 +156,7 @@ def field_map_rebuild(mapping: Dict[str, Expr]) -> Expr:
 
 def _sig_one_of(arg_schemas):
     """one_of: a representative element of the collection argument."""
-    from ..typecheck import is_unknown, unknown_schema
-    if arg_schemas and arg_schemas[0] is not None \
-            and not is_unknown(arg_schemas[0]) \
+    if arg_schemas and not is_unknown(arg_schemas[0]) \
             and arg_schemas[0].kind in ("set", "arr"):
         return arg_schemas[0].children[0].clone()
     return unknown_schema()
@@ -168,10 +167,7 @@ def _dropping_signature(split):
     argument tuple minus the named fields.  Needs the argument
     *expressions* — the dropped names live in a Const literal."""
     def signature(arg_schemas, exprs):
-        from ..schema import SchemaNode
-        from ..typecheck import is_unknown, unknown_schema
-        if len(arg_schemas) != 2 or arg_schemas[0] is None \
-                or is_unknown(arg_schemas[0]) \
+        if len(arg_schemas) != 2 or is_unknown(arg_schemas[0]) \
                 or arg_schemas[0].kind != "tup":
             return unknown_schema()
         if not isinstance(exprs[1], Const) \

@@ -35,6 +35,18 @@ NODE_KINDS = ("val", "tup", "set", "arr", "ref")
 #: unknown ("any") schema rather than as a genuine scalar.
 UNKNOWN_NAME = "_unknown_"
 
+
+def unknown_schema() -> "SchemaNode":
+    """A fresh unknown-component placeholder node."""
+    return SchemaNode.val(name=UNKNOWN_NAME)
+
+
+def is_unknown(schema: Optional["SchemaNode"]) -> bool:
+    """True for the unknown-component placeholder (or ``None``)."""
+    return schema is None or (schema.kind == "val"
+                              and schema.base_name == UNKNOWN_NAME)
+
+
 _anon_counter = itertools.count(1)
 
 
@@ -365,7 +377,7 @@ def infer_schema(value: Any, catalog: SchemaCatalog = None) -> SchemaNode:
     if is_scalar(value):
         return SchemaNode.val(type(value))
     if isinstance(value, Null):
-        return SchemaNode.val(name=UNKNOWN_NAME)
+        return unknown_schema()
     if isinstance(value, Tup):
         return SchemaNode.tup(
             {name: infer_schema(v, catalog) for name, v in value.fields},
@@ -376,14 +388,14 @@ def infer_schema(value: Any, catalog: SchemaCatalog = None) -> SchemaNode:
             component = _merge_inferred(component,
                                         infer_schema(element, catalog))
         return SchemaNode.set_of(component if component is not None
-                                 else SchemaNode.val(name=UNKNOWN_NAME))
+                                 else unknown_schema())
     if isinstance(value, Arr):
         component = None
         for element in value:
             component = _merge_inferred(component,
                                         infer_schema(element, catalog))
         return SchemaNode.arr_of(component if component is not None
-                                 else SchemaNode.val(name=UNKNOWN_NAME))
+                                 else unknown_schema())
     if isinstance(value, Ref):
         if value.type_name:
             return SchemaNode.ref_to(value.type_name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
-from ..core.schema import SchemaNode
+from ..core.schema import SchemaNode, is_unknown, unknown_schema
 from ..core.values import DNE, Arr, MultiSet
 
 
@@ -115,9 +115,7 @@ MAY_RETURN_DNE = frozenset(["min", "max", "avg"])
 
 def _element_schema(arg_schemas):
     """The element schema of a collection argument, if visible."""
-    from ..core.typecheck import is_unknown, unknown_schema
-    if arg_schemas and arg_schemas[0] is not None \
-            and not is_unknown(arg_schemas[0]) \
+    if arg_schemas and not is_unknown(arg_schemas[0]) \
             and arg_schemas[0].kind in ("set", "arr"):
         return arg_schemas[0].children[0].clone()
     return unknown_schema()
@@ -138,9 +136,8 @@ def _sig_numeric(arg_schemas):
 def _sig_polymorphic_binary(arg_schemas):
     """plus/minus keep their operand sort (⊎ on multisets, ARR_CAT on
     arrays, arithmetic on scalars)."""
-    from ..core.typecheck import is_unknown, unknown_schema
     for schema in arg_schemas:
-        if schema is not None and not is_unknown(schema):
+        if not is_unknown(schema):
             return schema.clone()
     return unknown_schema()
 

@@ -44,7 +44,7 @@ from ..obs.metrics import (DEREF_CACHE_HITS_TOTAL, DEREF_CACHE_MISSES_TOTAL,
                            REWRITE_FIRES_TOTAL, REWRITE_SECONDS_TOTAL,
                            SERVER_PLAN_CACHE_HITS, SERVER_PLAN_CACHE_MISSES,
                            SLOW_QUERIES_TOTAL)
-from ..options import ExecutionOptions
+from ..options import CHECKS, ExecutionOptions
 from . import ast
 from .parser import Parser
 from .translate import TranslationError, Translator
@@ -250,7 +250,9 @@ def prepare(statement: Union[ast.RangeDecl, ast.Retrieve], catalog: Any,
     cost model (which prices probes against the catalog's indexes) and
     the search budget; with none, or with *optimize* off, the
     translated tree runs as written.  A *tracer* makes the plan a
-    traced one: good for one run, under that tracer.
+    traced one: good for one run, under that tracer.  The analyze and
+    verify steps run when ``options.checks`` reaches their level in
+    :data:`~repro.options.CHECKS`.
     """
     if isinstance(statement, ast.RangeDecl):
         for var, collection in statement.bindings:
@@ -264,13 +266,15 @@ def prepare(statement: Union[ast.RangeDecl, ast.Retrieve], catalog: Any,
     if optimize and optimizer is not None:
         expr = _optimize(expr, optimizer, tracer)
     model = optimizer.cost_model if optimizer is not None else None
+    level = CHECKS.index(options.checks)
+    sanitize = options.checks == "sanitize"
     analysis = None
-    if options.analyze:
+    if level >= CHECKS.index("analyze"):
         expr, analysis = _analyze(expr, catalog,
                                   model.stats if model is not None else None,
-                                  options.sanitize)
+                                  sanitize)
     facts = None
-    if options.verify:
+    if level >= CHECKS.index("verify"):
         from ..core.analysis import (facts_for_database,
                                      inference_for_database)
         inference_for_database(catalog).check(expr)
@@ -284,7 +288,7 @@ def prepare(statement: Union[ast.RangeDecl, ast.Retrieve], catalog: Any,
     plan = lower(expr, options.engine, trace=tracer is not None,
                  facts=facts, cost_model=model,
                  access_paths=options.access_paths, analysis=analysis,
-                 sanitize=options.sanitize)
+                 sanitize=sanitize)
     return Step(statement, expr, plan, analysis, result_type)
 
 

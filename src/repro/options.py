@@ -12,12 +12,21 @@ from dataclasses import dataclass, fields
 from dataclasses import replace as _dc_replace
 from typing import Any, Dict, Optional
 
-__all__ = ["ENGINES", "ExecutionOptions"]
+__all__ = ["CHECKS", "ENGINES", "ExecutionOptions"]
 
 #: The recognized execution engines, in increasing order of machinery:
 #: tree-walking interpreter, streaming compiled pipelines, and columnar
 #: batch pipelines.
 ENGINES = ("interpreted", "compiled", "batched")
+
+#: The static-check levels, in increasing order; each runs every level
+#: before it.  ``"verify"`` gates execution on type inference (and hands
+#: the compiled engine duplicate-freedom licences); ``"analyze"`` also
+#: abstract-interprets the plan (prune statically-empty subtrees, clamp
+#: the cost model with proven bounds, license bounds-check elision);
+#: ``"sanitize"`` asserts every proven fact at runtime instead of
+#: trusting it.
+CHECKS = ("off", "verify", "analyze", "sanitize")
 
 
 @dataclass(frozen=True)
@@ -26,14 +35,8 @@ class ExecutionOptions:
     switch that used to be its own keyword argument.
 
     * ``engine`` — ``"interpreted"``, ``"compiled"``, or ``"batched"``.
-    * ``verify`` — run the inheritance-aware inference gate before
-      execution; the compiled engines receive duplicate-freedom facts
-      as optimization licenses.
-    * ``analyze`` — abstract-interpret every optimized plan: prune
-      statically-empty subtrees, clamp the cost model with proven
-      bounds, license bounds-check elision.
-    * ``sanitize`` — ``analyze`` with the facts flipped into runtime
-      assertions (implies ``analyze``).
+    * ``checks`` — static-check level, one of :data:`CHECKS`:
+      ``"off"``, ``"verify"``, ``"analyze"``, or ``"sanitize"``.
     * ``trace`` — record per-operator spans on every statement.
     * ``access_paths`` — index probe policy handed to the compiled
       engines: ``"auto"`` (cost-gated), ``"force"``, or ``"off"``.
@@ -43,9 +46,7 @@ class ExecutionOptions:
     """
 
     engine: str = "compiled"
-    verify: bool = False
-    analyze: bool = False
-    sanitize: bool = False
+    checks: str = "off"
     trace: bool = False
     access_paths: str = "auto"
     readers: Optional[int] = None
@@ -54,10 +55,9 @@ class ExecutionOptions:
         if self.engine not in ENGINES:
             raise ValueError("engine must be one of %s, got %r"
                              % ("/".join(ENGINES), self.engine))
-        if self.sanitize and not self.analyze:
-            # sanitize is analyze with assertions on; keep the pair
-            # consistent so callers can read either flag.
-            object.__setattr__(self, "analyze", True)
+        if self.checks not in CHECKS:
+            raise ValueError("checks must be one of %s, got %r"
+                             % ("/".join(CHECKS), self.checks))
         if self.access_paths not in ("auto", "force", "off"):
             raise ValueError("access_paths must be 'auto', 'force', or "
                              "'off', got %r" % (self.access_paths,))

@@ -257,7 +257,7 @@ def test_cost_model_clamps_to_proven_bounds():
 def test_explain_analyze_shows_static_bounds():
     import repro
     db = build_db()
-    conn = repro.connect(db, repro.ExecutionOptions(analyze=True, trace=True))
+    conn = repro.connect(db, repro.ExecutionOptions(checks="analyze", trace=True))
     result = conn.execute("retrieve (E) from E in Emp")
     text = result.explain()
     assert "static [" in text
@@ -266,7 +266,7 @@ def test_explain_analyze_shows_static_bounds():
 def test_statically_empty_pruning_preserves_value():
     import repro
     db = build_db()
-    conn = repro.connect(db, repro.ExecutionOptions(analyze=True))
+    conn = repro.connect(db, repro.ExecutionOptions(checks="analyze"))
     plain = repro.connect(db)
     q = "retrieve (E.name) from E in Emp where E.age < 0"
     assert conn.execute(q).value == plain.execute(q).value
@@ -291,6 +291,6 @@ def test_sanitizer_metrics_counters_move():
     import repro
     from repro.obs import metrics
     before = metrics.SANITIZER_CHECKS_TOTAL.value()
-    conn = repro.connect(build_db(), repro.ExecutionOptions(sanitize=True))
+    conn = repro.connect(build_db(), repro.ExecutionOptions(checks="sanitize"))
     conn.execute("retrieve (E) from E in Emp")
     assert metrics.SANITIZER_CHECKS_TOTAL.value() > before

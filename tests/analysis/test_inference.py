@@ -1,16 +1,22 @@
 """Inheritance-aware inference: substitutability, lubs, narrowing,
 declared signatures, and the structured type-error fields."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
-from repro.core.analysis import TypeInference, inference_for_database, \
-    substitutable
-from repro.core.expr import Const, Func, Input, Named
+import repro
+from repro.core.analysis import (AlgebraTypeError, TypeInference,
+                                 inference_for_database, substitutable)
+from repro.core.expr import Const, Expr, Func, Input, Named
 from repro.core.hierarchy import TypeHierarchy
-from repro.core.methods import MethodCall
-from repro.core.operators import AddUnion, SetApply, TupCreate, TupExtract
-from repro.core.schema import SchemaCatalog, SchemaNode
-from repro.core.typecheck import AlgebraTypeError, is_unknown
+from repro.core.methods import IndexedTypeScan, MethodCall
+from repro.core.operators import (AddUnion, ArrApply, ArrCat, ArrCreate,
+                                  SetApply, TupCreate, TupExtract)
+from repro.core.schema import (SchemaCatalog, SchemaNode, is_unknown,
+                               unknown_schema)
 from repro.core.values import MultiSet, Tup
 from repro.storage import Database
 
@@ -112,6 +118,23 @@ class TestLub:
                          SchemaNode.ref_to("Employee"))
         assert merged.kind == "ref" and merged.target == "Person"
 
+    def test_arr_cat_of_sibling_arrays_infers_supertype_array(self):
+        # ARR_CAT keeps every element of both operands, so like ⊎ its
+        # element schema is the lub — not the left operand's.
+        env = make_inference()
+        cat = ArrCat(ArrCreate(Named("Students")),
+                     ArrCreate(Named("Employees")))
+        schema = env.check(cat)
+        assert schema.kind == "arr"
+        assert schema.children[0].children[0].base_name == "Person"
+        gpas = ArrApply(SetApply(TupExtract("gpa", Input()), Input()), cat)
+        with pytest.raises(AlgebraTypeError):
+            env.check(gpas)
+        with pytest.raises(AlgebraTypeError):
+            env.check(SetApply(TupExtract("gpa", Input()),
+                               AddUnion(Named("Students"),
+                                        Named("Employees"))))
+
 
 class TestNarrowing:
     def test_type_filter_narrows_body_input(self):
@@ -129,6 +152,21 @@ class TestNarrowing:
         expr = SetApply(TupExtract("gpa", Input()), Named("People"))
         with pytest.raises(AlgebraTypeError):
             env.check(expr)
+
+    def test_indexed_type_scan_narrows_like_a_type_filter(self):
+        # The index variant of the Figure 5 ⊎ plan must type exactly as
+        # the scan variant: only Students come out of the scan.
+        env = make_inference()
+        body = TupExtract("gpa", Input())
+        scanned = SetApply(body, Named("People"),
+                           type_filter=frozenset(["Student"]))
+        indexed = SetApply(body, IndexedTypeScan("People", ["Student"]))
+        assert env.check(scanned).describe() == "{ float }"
+        assert env.check(indexed).describe() == "{ float }"
+
+    def test_indexed_type_scan_of_unknown_object_is_opaque(self):
+        assert make_inference().check(
+            IndexedTypeScan("Nowhere", ["Student"])) is None
 
 
 class TestSignatures:
@@ -216,7 +254,26 @@ class TestStructuredErrors:
         assert error.expr is not None
 
     def test_unknown_schema_helpers(self):
-        from repro.core.typecheck import unknown_schema
         assert is_unknown(unknown_schema())
         assert is_unknown(None)
         assert not is_unknown(SchemaNode.val(int))
+
+
+def _expr_kinds(cls=Expr):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _expr_kinds(sub)
+
+
+def test_every_operator_has_a_check():
+    """``check`` returns None for a node kind it has no method for, so
+    a forgotten ``_chk_*`` would silently leave the operator untyped."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    kinds = {cls for cls in _expr_kinds()
+             if cls.__module__.startswith("repro.")
+             and not inspect.isabstract(cls)}
+    assert len(kinds) >= 31
+    missing = sorted(cls.__name__ for cls in kinds
+                     if not hasattr(TypeInference, "_chk_" + cls.__name__))
+    assert missing == []

@@ -189,7 +189,7 @@ def assert_static_contains_actual(text):
 def test_static_bounds_contain_actuals_on_figure_queries():
     from repro.workloads import build_university
     uni = build_university(seed=3)
-    conn = repro.connect(uni.db, repro.ExecutionOptions(analyze=True, trace=True))
+    conn = repro.connect(uni.db, repro.ExecutionOptions(checks="analyze", trace=True))
     queries = [
         "retrieve (TopTen[5].name, TopTen[5].salary)",          # Figure 3
         'retrieve (Employees.dept.name) '
@@ -206,9 +206,9 @@ def test_static_bounds_contain_actuals_on_figure_queries():
 def test_analyze_mode_matches_plain_on_figure_queries():
     from repro.workloads import build_university
     uni = build_university(seed=3)
-    conn = repro.connect(uni.db, repro.ExecutionOptions(analyze=True))
+    conn = repro.connect(uni.db, repro.ExecutionOptions(checks="analyze"))
     plain = repro.connect(uni.db)
-    sanitized = repro.connect(uni.db, repro.ExecutionOptions(sanitize=True))
+    sanitized = repro.connect(uni.db, repro.ExecutionOptions(checks="sanitize"))
     queries = [
         "retrieve (TopTen[5].name, TopTen[5].salary)",
         'retrieve (Employees.dept.name) '

@@ -1,15 +1,14 @@
-"""End-to-end wiring: ExecutionOptions(verify=True), the compiled engine's
+"""End-to-end wiring: ExecutionOptions(checks="verify"), the compiled engine's
 duplicate-freedom license, and the lint surfaces (CLI + shell)."""
 
 import pytest
 
 from repro.cli import Shell, lint_source, run_lint
-from repro.core.analysis import facts_for_database
+from repro.core.analysis import AlgebraTypeError, facts_for_database
 from repro.core.engine.compiler import compile_plan
 from repro.core.expr import Const, Input, Named, evaluate
 from repro.core.operators import DE, Comp, SetApply, TupExtract
 from repro.core.predicates import Atom
-from repro.core.typecheck import AlgebraTypeError
 from repro.core.values import UNK, MultiSet, Tup
 from repro.excess import parse, pipeline
 from repro.excess.session import Session
@@ -30,22 +29,22 @@ QUERY = ("retrieve (E.name, E.salary) from E in Employees "
 
 class TestSessionVerify:
     def test_both_engines_agree_under_verify(self, uni):
-        interp = Session(uni.db, INTERPRETED.replace(verify=True))
+        interp = Session(uni.db, INTERPRETED.replace(checks="verify"))
         compiled = Session(uni.db, ExecutionOptions(engine="compiled",
-                                                    verify=True))
+                                                    checks="verify"))
         a = interp.run(QUERY)[-1].value
         b = compiled.run(QUERY)[-1].value
         assert a == b and len(a) > 0
 
     def test_verify_matches_unverified_results(self, uni):
         plain = Session(uni.db, INTERPRETED).run(QUERY)[-1].value
-        checked = Session(uni.db, INTERPRETED.replace(verify=True)) \
+        checked = Session(uni.db, INTERPRETED.replace(checks="verify")) \
             .run(QUERY)[-1].value
         assert plain == checked
 
     def test_verify_rejects_ill_typed_plan_before_execution(self, uni):
         uni.db.create("VCodes", MultiSet([1, 2, 3]))
-        session = Session(uni.db, INTERPRETED.replace(verify=True))
+        session = Session(uni.db, INTERPRETED.replace(checks="verify"))
         with pytest.raises(AlgebraTypeError):
             session.run("retrieve (C.name) from C in VCodes")
 
@@ -75,13 +74,13 @@ class TestDuplicateFreedomLicense:
         # lowered plan: DE over a duplicate-free extent is a pass-through.
         statement, = parse("retrieve value (de(Employees))")
 
-        def notes(verify):
-            options = ExecutionOptions(engine="compiled", verify=verify)
+        def notes(checks):
+            options = ExecutionOptions(engine="compiled", checks=checks)
             return pipeline.prepare(statement, uni.db, {}, options,
                                     None).plan.notes
 
-        assert any("pass-through" in note for note in notes(True))
-        assert not any("pass-through" in note for note in notes(False))
+        assert any("pass-through" in note for note in notes("verify"))
+        assert not any("pass-through" in note for note in notes("off"))
 
 
 class TestSigmaDupFreeLicense:

@@ -32,7 +32,7 @@ class TestSchemasCompatible:
         assert not schemas_compatible(a, b)
 
     def test_unknowns_unify(self):
-        from repro.core.typecheck import unknown_schema
+        from repro.core.schema import unknown_schema
         assert schemas_compatible(None, SchemaNode.val(int))
         assert schemas_compatible(
             SchemaNode.set_of(unknown_schema()),

@@ -16,8 +16,7 @@ import random
 
 import pytest
 
-from repro.core.analysis import inference_for_database
-from repro.core.typecheck import AlgebraTypeError
+from repro.core.analysis import AlgebraTypeError, inference_for_database
 from repro.core.values import UNK, Arr, MultiSet
 
 from tests.engine.test_engine_equivalence import (N_PLANS, PlanGen, build_db,

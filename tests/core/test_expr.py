@@ -127,3 +127,45 @@ def test_describe_round_trip_readable():
     tree = SetApply(Comp(TruePred(), Input()), Named("Employees"))
     text = tree.describe()
     assert "SET_APPLY" in text and "Employees" in text
+
+
+# ---------------------------------------------------------------------------
+# Plan explanation (explain.py)
+# ---------------------------------------------------------------------------
+
+
+def test_explain_draws_figure_style_trees():
+    from repro.core.explain import explain
+    from repro.core.operators import DE, Cross
+    tree = DE(Cross(Named("S"), Named("E")))
+    text = explain(tree)
+    assert text.splitlines()[0] == "DE"
+    assert "└─ CROSS" in text
+    assert "├─ S" in text and "└─ E" in text
+
+
+def test_explain_inlines_subscripts_and_costs():
+    from repro.core.explain import explain
+    from repro.core.optimizer import CostModel
+    tree = SetApply(TupExtract("name", Input()), Named("P"))
+    text = explain(tree, CostModel())
+    assert "SET_APPLY [INPUT.name]" in text
+    assert "cost≈" in text and "card≈" in text
+
+
+def test_explain_shows_type_filters_and_methods():
+    from repro.core.explain import explain
+    from repro.core.methods import IndexedTypeScan, MethodCall
+    tree = SetApply(MethodCall("boss", [], Input()), Named("P"),
+                    type_filter="Employee")
+    text = explain(tree)
+    assert "<Employee>" in text
+    scan = explain(IndexedTypeScan("P", ["A", "B"]))
+    assert "INDEX SCAN P<A/B>" in scan
+
+
+def test_explain_parameters_of_plain_nodes():
+    from repro.core.explain import explain
+    from repro.core.operators import ArrExtract, SubArr
+    assert "ARREXTRACT 5" in explain(ArrExtract(5, Named("R")))
+    assert "SUBARR 2 last" in explain(SubArr(2, "last", Named("R")))

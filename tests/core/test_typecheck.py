@@ -1,18 +1,21 @@
-"""Static schema inference / sort checking for algebra trees."""
+"""The sort discipline of the one type checker: every operator's
+accepted input sorts and inferred output schema, without a type
+hierarchy (the inheritance-aware cases live in
+``tests/analysis/test_inference.py``)."""
 
 import pytest
 
+from repro.core.analysis import (AlgebraTypeError, TypeInference,
+                                 inference_for_database)
 from repro.core.expr import Const, Func, Input, Named
 from repro.core.operators import (DE, AddUnion, ArrCat, ArrCollapse,
-                                  ArrCreate, ArrExtract, Comp, Cross, Deref,
-                                  Grp, Pi, RefOp, SetApply, SetCollapse,
+                                  ArrCreate, ArrExtract, Cross, Deref, Grp,
+                                  Pi, RefOp, SetApply, SetCollapse,
                                   SetCreate, SubArr, TupCat, TupCreate,
                                   TupExtract, sigma)
 from repro.core.predicates import Atom
 from repro.core.schema import SchemaCatalog, SchemaNode
-from repro.core.typecheck import (AlgebraTypeError, TypeChecker,
-                                  checker_for_database)
-from repro.core.values import Arr, MultiSet, Tup
+from repro.core.values import MultiSet
 from tests.conftest import INTERPRETED
 
 
@@ -25,7 +28,7 @@ def checker():
     person = tup_schema(name=SchemaNode.val(str), age=SchemaNode.val(int))
     catalog = SchemaCatalog()
     catalog.register(person, "Person")
-    return TypeChecker(
+    return TypeInference(
         named_schemas={
             "People": SchemaNode.set_of(person),
             "Ages": SchemaNode.set_of(SchemaNode.val(int)),
@@ -175,7 +178,7 @@ def test_checker_for_university():
     from repro.workloads import build_university
     uni = build_university(n_departments=2, n_employees=6, n_students=6,
                            seed=3)
-    checker = checker_for_database(uni.db)
+    checker = inference_for_database(uni.db)
     plan = uni.session.compile(
         "range of E is Employees retrieve (E.name) where E.dept.floor = 1")
     schema = checker.check(plan)
@@ -189,7 +192,7 @@ def test_translator_output_always_typechecks():
     from repro.workloads import build_university
     uni = build_university(n_departments=2, n_employees=8, n_students=8,
                            seed=3)
-    checker = checker_for_database(uni.db)
+    checker = inference_for_database(uni.db)
     queries = [
         "retrieve (TopTen[5].name, TopTen[5].salary)",
         'retrieve (Employees.dept.name) where Employees.city = "Madison"',
@@ -209,7 +212,7 @@ def test_rewrites_preserve_inferred_schema():
     companion to the semantic property tests)."""
     from repro.core.transform import ALL_RULES, single_step_rewrites
     person = tup_schema(name=SchemaNode.val(str), age=SchemaNode.val(int))
-    checker = TypeChecker({"P": SchemaNode.set_of(person)})
+    checker = TypeInference({"P": SchemaNode.set_of(person)})
     tree = DE(SetApply(Pi(["name"], Input()),
                        sigma(Atom(TupExtract("age", Input()), ">",
                                   Const(30)), Named("P"))))
@@ -218,46 +221,3 @@ def test_rewrites_preserve_inferred_schema():
         got = checker.check(rewritten)
         if got is not None and want is not None:
             assert got.structurally_equal(want)
-
-
-# ---------------------------------------------------------------------------
-# Plan explanation (explain.py)
-# ---------------------------------------------------------------------------
-
-
-def test_explain_draws_figure_style_trees():
-    from repro.core.explain import explain
-    from repro.core.operators import DE, Cross
-    tree = DE(Cross(Named("S"), Named("E")))
-    text = explain(tree)
-    assert text.splitlines()[0] == "DE"
-    assert "└─ CROSS" in text
-    assert "├─ S" in text and "└─ E" in text
-
-
-def test_explain_inlines_subscripts_and_costs():
-    from repro.core.explain import explain
-    from repro.core.optimizer import CostModel
-    person = tup_schema(name=SchemaNode.val(str))
-    tree = SetApply(TupExtract("name", Input()), Named("P"))
-    text = explain(tree, CostModel())
-    assert "SET_APPLY [INPUT.name]" in text
-    assert "cost≈" in text and "card≈" in text
-
-
-def test_explain_shows_type_filters_and_methods():
-    from repro.core.explain import explain
-    from repro.core.methods import IndexedTypeScan, MethodCall
-    tree = SetApply(MethodCall("boss", [], Input()), Named("P"),
-                    type_filter="Employee")
-    text = explain(tree)
-    assert "<Employee>" in text
-    scan = explain(IndexedTypeScan("P", ["A", "B"]))
-    assert "INDEX SCAN P<A/B>" in scan
-
-
-def test_explain_parameters_of_plain_nodes():
-    from repro.core.explain import explain
-    from repro.core.operators import ArrExtract, SubArr
-    assert "ARREXTRACT 5" in explain(ArrExtract(5, Named("R")))
-    assert "SUBARR 2 last" in explain(SubArr(2, "last", Named("R")))

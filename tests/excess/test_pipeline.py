@@ -122,7 +122,8 @@ def test_override_is_an_argument_not_connection_state():
         "peek", lambda x: (seen.append((a.options, b.options,
                                         b.tracing)), x)[1])
     before = (a.options, a.tracing)
-    override = ExecutionOptions(engine="batched", trace=True, verify=True)
+    override = ExecutionOptions(engine="batched", trace=True,
+                                checks="verify")
 
     result = a.execute("retrieve (peek(N)) from N in Nums",
                        options=override)

@@ -162,6 +162,7 @@ def test_lint_subcommand_exit_code_subprocess(tmp_path):
 
 
 def test_sanitize_meta_toggle(shell):
+    before = shell.conn.options
     assert "no-op" in shell.handle_meta(".sanitize on")  # interpreted
     shell.handle_meta(".engine compiled")
     assert shell.handle_meta(".sanitize on") == "sanitizer on"
@@ -171,6 +172,8 @@ def test_sanitize_meta_toggle(shell):
     out = shell.execute("retrieve (E) from E in Employees")
     assert "30" in out[0]
     assert shell.handle_meta(".sanitize off") == "sanitizer off"
+    # Off is off: no abstract interpretation (or pruning) left behind.
+    assert shell.conn.options == before.replace(engine="compiled")
 
 
 def test_sanitize_subcommand_smoke():

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from repro import Connection, Database, ExecutionOptions, MultiSet, connect
-from repro.options import ENGINES
+from repro.options import CHECKS, ENGINES
 
 DDL = """
 create Nums: { int4 }
@@ -22,8 +22,7 @@ append to Nums value (2)
 
 def test_defaults_match_connect_defaults():
     options = ExecutionOptions()
-    assert options.engine == "compiled"
-    assert options.verify is False and options.sanitize is False
+    assert options.engine == "compiled" and options.checks == "off"
     assert options.trace is False and options.access_paths == "auto"
     conn = connect()
     assert conn.options == options
@@ -37,8 +36,47 @@ def test_engine_is_validated():
 
 
 def test_sanitize_implies_analyze():
-    options = ExecutionOptions(sanitize=True)
-    assert options.analyze is True
+    """One ordered ladder: each level runs every level before it, so
+    sanitize implies analyze implies verify — and no boolean spells a
+    level any more."""
+    assert CHECKS == ("off", "verify", "analyze", "sanitize")
+    for level in CHECKS:
+        assert ExecutionOptions(checks=level).checks == level
+    with pytest.raises(ValueError, match="checks"):
+        ExecutionOptions(checks="bogus")
+    for gone in ("verify", "analyze", "sanitize"):
+        with pytest.raises(TypeError):
+            ExecutionOptions(**{gone: True})
+
+
+@pytest.mark.parametrize("level, steps", [
+    ("off", []),
+    ("verify", ["verify"]),
+    ("analyze", ["analyze", "verify"]),
+    ("sanitize", ["sanitize", "verify"]),
+])
+def test_each_check_level_runs_the_levels_below(level, steps, monkeypatch):
+    """What ``prepare`` runs per level: the abstract interpreter (in
+    sanitizer mode at the top) and then the inference gate."""
+    from repro.core import analysis
+    from repro.excess import pipeline
+    ran = []
+    infer, abstract = analysis.inference_for_database, pipeline._analyze
+
+    def spy_infer(catalog):
+        ran.append("verify")
+        return infer(catalog)
+
+    def spy_abstract(expr, catalog, statistics, sanitize):
+        ran.append("sanitize" if sanitize else "analyze")
+        return abstract(expr, catalog, statistics, sanitize)
+
+    monkeypatch.setattr(analysis, "inference_for_database", spy_infer)
+    monkeypatch.setattr(pipeline, "_analyze", spy_abstract)
+    conn = connect(Database(), ExecutionOptions(checks=level))
+    conn.execute(DDL)
+    conn.execute("retrieve (N) from N in Nums")
+    assert ran == steps
 
 
 def test_batched_engine_has_no_knobs():
@@ -111,10 +149,9 @@ def test_session_exposes_options_snapshot():
 # -- one spelling ------------------------------------------------------------
 
 def test_options_are_the_only_way_to_pass_a_switch():
-    """Seven fields, and no per-keyword spelling beside them."""
+    """Five fields, and no per-keyword spelling beside them."""
     assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
-        "engine", "verify", "analyze", "sanitize", "trace", "access_paths",
-        "readers"]
+        "engine", "checks", "trace", "access_paths", "readers"]
     for call in (connect, Connection):
         with pytest.raises(TypeError):
             call(Database(), engine="interpreted")
@@ -134,12 +171,15 @@ def test_options_path_does_not_warn():
 @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
 def test_docs_mention_every_option_field(doc):
     """README's quickstart and DESIGN's options-surface section must
-    mention every ExecutionOptions field by name, so the public knobs
-    and their docs cannot drift apart."""
+    mention every ExecutionOptions field and every ``checks`` level by
+    name, so the public knobs and their docs cannot drift apart."""
     text = (pathlib.Path(__file__).resolve().parents[2] / doc).read_text()
     for field in dataclasses.fields(ExecutionOptions):
         assert field.name in text, (
             "%s does not mention ExecutionOptions.%s" % (doc, field.name))
+    for level in CHECKS:
+        assert '"%s"' % level in text, (
+            '%s does not mention checks level "%s"' % (doc, level))
     assert "ExecutionOptions" in text
 
 

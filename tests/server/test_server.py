@@ -84,10 +84,11 @@ def test_failed_reads_and_writes_both_reach_the_query_metrics(hosted):
 
 
 def test_snapshot_reads_honour_the_servers_checks(tmp_path):
-    """verify / sanitize run on the reader path against the snapshot it
-    reads, exactly as they do on the writer path."""
+    """The sanitize level (type inference plus runtime-asserted facts)
+    runs on the reader path against the snapshot it reads, exactly as it
+    does on the writer path."""
     server = Server(str(tmp_path / "db"),
-                    ExecutionOptions(sanitize=True, verify=True))
+                    ExecutionOptions(checks="sanitize"))
     with ServerThread(server), _connect(server) as client:
         client.execute("create Codes: { int4 }")
         for v in (1, 2, 2):

@@ -65,9 +65,11 @@ sanitize:
 # Batch differential gate: the 240-plan classic corpus plus the
 # 60-plan batch-stressing corpus, each plan run interpreted /
 # compiled / batched; any divergence or sanitizer violation fails.
+# Cached session replays are checked against fresh prepares on all
+# three engines alongside.
 batch-differential:
 	$(PYTHON) -m repro.cli sanitize --batched
-	$(PYTHON) -m pytest tests/engine/test_batch_engine.py -q
+	$(PYTHON) -m pytest tests/engine/test_batch_engine.py tests/excess/test_plan_cache.py -q
 
 # Tier-2 sanity gate: one tiny run per paper figure (<30 s), asserting
 # the paper-claimed winner directions and engine agreement.

@@ -192,6 +192,9 @@ class Shell:
         self.session = self.conn.session
         self.optimize = False
         self.last_stats = {}
+        # (Database.version, engine) the session's optimizer was built
+        # at, or None before the first build.
+        self._optimizer_stamp = None
 
     def _reconnect(self) -> None:
         """Rebind the connection after the database was swapped out
@@ -199,6 +202,7 @@ class Shell:
         execution options and tracing state."""
         self.conn = connect(self.db, self.conn.options)
         self.session = self.conn.session
+        self._optimizer_stamp = None
 
     # -- meta commands -------------------------------------------------
 
@@ -302,7 +306,7 @@ class Shell:
                 return "usage: .analyze <statement …>"
             try:
                 if self.optimize:
-                    self.conn.session.optimizer = self._optimizer()
+                    self._refresh_optimizer()
                 result = self.conn.execute(
                     argument, optimize=self.optimize,
                     options=self.conn.options.replace(trace=True))
@@ -387,6 +391,15 @@ class Shell:
                           indexes=self.db.indexes)
         return Optimizer(cost_model=model, max_depth=3, max_trees=500)
 
+    def _refresh_optimizer(self) -> None:
+        """Give the session an optimizer over current statistics when
+        the database or the engine moved since the last one was built.
+        Only then: a new optimizer drops the session's cached plans."""
+        stamp = (self.db.version, self.conn.engine)
+        if stamp != self._optimizer_stamp:
+            self.conn.session.optimizer = self._optimizer()
+            self._optimizer_stamp = stamp
+
     # -- statements -------------------------------------------------------
 
     def execute(self, source: str) -> List[str]:
@@ -394,9 +407,7 @@ class Shell:
         out: List[str] = []
         try:
             if self.optimize:
-                # Fresh statistics per execute: the shell mutates the
-                # database between statements.
-                self.conn.session.optimizer = self._optimizer()
+                self._refresh_optimizer()
             last = self.conn.execute(source, optimize=self.optimize)
         except (ParseError, Exception) as error:
             return ["error: %s" % error]

@@ -27,6 +27,8 @@ class TypeHierarchy:
     def __init__(self):
         self._parents: Dict[str, List[str]] = {}
         self._children: Dict[str, List[str]] = {}
+        #: Change counter, one of the terms of ``Database.version``.
+        self.version = 0
 
     # -- construction ----------------------------------------------------
 
@@ -48,6 +50,7 @@ class TypeHierarchy:
         self._children[name] = []
         for parent in parents:
             self._children[parent].append(name)
+        self.version += 1
 
     def __contains__(self, name: str) -> bool:
         return name in self._parents

@@ -130,6 +130,9 @@ class MethodRegistry:
     def __init__(self, hierarchy: TypeHierarchy):
         self.hierarchy = hierarchy
         self._methods: Dict[Tuple[str, str], Method] = {}
+        #: Change counter, one of the terms of ``Database.version``:
+        #: plans inline method bodies, so a redefinition voids them.
+        self.version = 0
 
     def define(self, type_name: str, name: str, params: Sequence[str],
                body: Expr) -> Method:
@@ -149,6 +152,7 @@ class MethodRegistry:
                        ", ".join(params)))
         method = Method(type_name, name, params, body)
         self._methods[(type_name, name)] = method
+        self.version += 1
         return method
 
     def defined_on(self, type_name: str, name: str) -> Optional[Method]:

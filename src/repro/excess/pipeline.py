@@ -22,7 +22,8 @@ statement *n−1*'s effect (a type just defined, a collection just
 created), so a script is prepared and run one statement at a time.
 Only when every statement :func:`reads_only` can the prepared
 :class:`Step` list be replayed — that list is what :class:`PlanCache`
-stores.  Traced plans carry per-run span state and never enter it.
+stores, stamped with the catalog's ``version``.  Traced plans carry
+per-run span state and never enter it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from ..obs.metrics import (DEREF_CACHE_HITS_TOTAL, DEREF_CACHE_MISSES_TOTAL,
                            QUERIES_TOTAL, QUERY_ERRORS_TOTAL, QUERY_SECONDS,
                            REWRITE_FIRES_TOTAL, REWRITE_SECONDS_TOTAL,
                            SERVER_PLAN_CACHE_HITS, SERVER_PLAN_CACHE_MISSES,
-                           SLOW_QUERIES_TOTAL)
+                           SLOW_QUERIES_TOTAL, Counter)
 from ..options import CHECKS, ExecutionOptions
 from . import ast
 from .parser import Parser
@@ -306,9 +307,11 @@ def execute(step: Step, catalog: Any, ctx: EvalContext,
     ctx.begin_query()
     value = run_plan(step.expr, step.plan, ctx)
     if statement.into:
-        catalog.create(statement.into, value)
+        # The declared type first: ``create`` then advances the
+        # catalog's version past both changes.
         if step.result_type is not None:
             catalog.created_types[statement.into] = step.result_type
+        catalog.create(statement.into, value)
     return Result(statement, step.expr, value, statement.into,
                   stats=ctx.stats, analysis=step.analysis)
 
@@ -344,31 +347,44 @@ def _timed(kind: str, tracer: Optional[Tracer], engine: str,
 
 
 class PlanCache:
-    """An LRU of prepared read scripts at one index epoch.
+    """An LRU of prepared read scripts at one catalog epoch.
 
-    Keys carry everything that shapes the plans besides the data:
-    (script source, engine, access_paths, range bindings).
-    The data dimension is the **index epoch** the script was prepared
-    at — the cache holds plans for exactly one epoch and clears itself
-    the first time it is consulted at a newer one, so every commit
-    (data or index DDL) invalidates wholesale.  Plans consult
-    ``ctx.indexes`` at run time, so a cached plan re-executes correctly
-    against any snapshot of the same epoch.
+    Keys carry everything that shapes the plans besides the catalog:
+    (script source, execution options less ``trace``, range bindings).
+    The catalog dimension is the **epoch** the script was prepared at —
+    ``catalog.version``: a snapshot's commit version on a server
+    reader, :attr:`repro.storage.Database.version` on a local session.
+    The cache holds plans for exactly one epoch and clears itself the
+    first time it is consulted at another, so every change to data,
+    schema, methods, functions or index definitions invalidates
+    wholesale.  Plans consult ``ctx.indexes`` at run time, so a cached
+    plan re-executes correctly against any state of the same epoch.
+    *hits* and *misses* are the counters :meth:`get` feeds (the server
+    reader's by default).
     """
 
-    __slots__ = ("capacity", "entries", "epoch", "lock")
+    __slots__ = ("capacity", "entries", "epoch", "lock", "hits", "misses")
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int = 64, *,
+                 hits: Counter = SERVER_PLAN_CACHE_HITS,
+                 misses: Counter = SERVER_PLAN_CACHE_MISSES):
         self.capacity = capacity
         self.entries: "OrderedDict[Tuple[Any, ...], List[Step]]" = \
             OrderedDict()
         self.epoch: Optional[int] = None
         self.lock = threading.Lock()
+        self.hits = hits
+        self.misses = misses
 
     def _roll(self, epoch: int) -> None:
         if epoch != self.epoch:
             self.entries.clear()
             self.epoch = epoch
+
+    def clear(self) -> None:
+        """Drop every entry (the plans' optimizer was replaced)."""
+        with self.lock:
+            self.entries.clear()
 
     def get(self, key: Tuple[Any, ...],
             epoch: int) -> Optional[List[Step]]:
@@ -377,7 +393,8 @@ class PlanCache:
             steps = self.entries.get(key)
             if steps is not None:
                 self.entries.move_to_end(key)
-            return steps
+        (self.misses if steps is None else self.hits).inc()
+        return steps
 
     def put(self, key: Tuple[Any, ...], epoch: int,
             steps: List[Step]) -> None:
@@ -419,10 +436,11 @@ def run_script(source: str, catalog: Any, ctx: EvalContext,
     something has to be prepared.  *session* — the
     :class:`~repro.excess.session.Session` that owns the live database
     — runs DDL and update statements; without one (a snapshot reader)
-    they are refused.  With a *cache*, *catalog* must carry the index
-    epoch as ``version``: a read script prepared at this epoch is
-    replayed with no prepare work at all, and one prepared now is
-    stored.  A traced run neither consults nor fills the cache.
+    they are refused.  With a *cache*, *catalog* must carry its epoch
+    as ``version`` (see :class:`PlanCache`): a read script prepared at
+    this epoch is replayed with no prepare work at all, and one
+    prepared now is stored.  Traced and unoptimized runs neither
+    consult nor fill the cache.
     """
     engine = options.engine
     # One check per script: None unless tracing is on.
@@ -430,15 +448,18 @@ def run_script(source: str, catalog: Any, ctx: EvalContext,
     if tracer is not None and not tracer.enabled:
         tracer = None
     key = None
-    if cache is not None and tracer is None:
-        key = (source, engine, options.access_paths,
+    if cache is not None and tracer is None and optimize:
+        key = (source,
+               options.replace(trace=False) if options.trace else options,
                tuple(sorted(ranges.items())))
-        cached = cache.get(key, catalog.version)
+        # The epoch the steps are prepared at: a read may still move a
+        # live catalog's version (REF minting inserts), and a plan
+        # stored under the later value would claim to have seen that.
+        epoch = catalog.version
+        cached = cache.get(key, epoch)
         if cached is not None:
-            SERVER_PLAN_CACHE_HITS.inc()
             return [_run(step, catalog, ctx, ranges, engine, None)
                     for step in cached]
-        SERVER_PLAN_CACHE_MISSES.inc()
     planner = optimizer()
     steps: List[Step] = []
 
@@ -470,8 +491,8 @@ def run_script(source: str, catalog: Any, ctx: EvalContext,
             results.append(_timed(type(statement).__name__.lower(), tracer,
                                   engine, session.run_update, statement,
                                   options))
-    if cache is not None and key is not None:
-        cache.put(key, catalog.version, steps)
+    if key is not None:
+        cache.put(key, epoch, steps)
     return results
 
 

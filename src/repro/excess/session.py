@@ -14,6 +14,8 @@ from typing import Dict, List, Optional
 
 from ..core.expr import Expr, evaluate
 from ..core.optimizer import Optimizer
+from ..obs.metrics import (CONNECTION_PLAN_CACHE_HITS,
+                           CONNECTION_PLAN_CACHE_MISSES)
 from ..options import ExecutionOptions
 from ..extra.ddl import DDLInterpreter, ensure_type_system
 from . import ast, pipeline
@@ -30,8 +32,11 @@ class Session:
 
     *options* is how statements execute unless :meth:`run` is handed an
     override; *optimizer* (cost model + search budget) is consulted
-    when a script runs with ``optimize`` on.  :func:`repro.connect`
-    builds one with tracing, metrics and a slow-query log around it.
+    when a script runs with ``optimize`` on.  Optimized read scripts
+    are prepared once per :attr:`~repro.storage.Database.version` into
+    the session's :class:`~repro.excess.pipeline.PlanCache`; assigning
+    a new optimizer drops it.  :func:`repro.connect` builds a session
+    with tracing, metrics and a slow-query log around it.
     """
 
     def __init__(self, database,
@@ -42,12 +47,25 @@ class Session:
         register_builtins(database)
         self.ranges: Dict[str, str] = {}
         self.options = options if options is not None else ExecutionOptions()
+        self.plan_cache = pipeline.PlanCache(
+            hits=CONNECTION_PLAN_CACHE_HITS,
+            misses=CONNECTION_PLAN_CACHE_MISSES)
         self.optimizer = optimizer
         # One evaluation context for the whole session: the deref cache
         # and stats live here, reset per statement via begin_query().
         self.context = database.context()
         self.ddl = DDLInterpreter(database,
                                   function_translator=self._translate_function)
+
+    @property
+    def optimizer(self) -> Optional[Optimizer]:
+        return self._optimizer
+
+    @optimizer.setter
+    def optimizer(self, optimizer: Optional[Optimizer]) -> None:
+        # Cached plans were chosen by the previous optimizer.
+        self._optimizer = optimizer
+        self.plan_cache.clear()
 
     # -- translation --------------------------------------------------------
 
@@ -84,7 +102,8 @@ class Session:
         return pipeline.run_script(
             source, self.db, self.context, self.ranges,
             options if options is not None else self.options,
-            lambda: self.optimizer, optimize=optimize, session=self)
+            lambda: self.optimizer, optimize=optimize, session=self,
+            cache=self.plan_cache)
 
     # -- transactions -------------------------------------------------------
 

@@ -194,12 +194,15 @@ class TypeSystem:
         self._types: Dict[str, TupleType] = {}
         self._schemas: Dict[str, SchemaNode] = {}
         self._scalar_aliases: Dict[str, type] = {"Date": str, "char": str}
+        #: Change counter, one of the terms of ``Database.version``.
+        self.version = 0
 
     # -- registration -----------------------------------------------------
 
     def register_scalar_alias(self, name: str, py_type: type) -> None:
         """Register an ADT-style scalar alias (the E-language stand-in)."""
         self._scalar_aliases[name] = py_type
+        self.version += 1
 
     def scalar_alias(self, name: str) -> Optional[type]:
         return self._scalar_aliases.get(name)
@@ -224,6 +227,7 @@ class TypeSystem:
                     "ancestry" % name)
         else:
             self.hierarchy.add_type(name, parents)
+        self.version += 1
         return tuple_type
 
     def __contains__(self, name: str) -> bool:

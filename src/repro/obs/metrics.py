@@ -416,6 +416,14 @@ SANITIZER_CHECKS_TOTAL = REGISTRY.counter(
 SANITIZER_VIOLATIONS_TOTAL = REGISTRY.counter(
     "repro_sanitizer_violations_total",
     "Sanitizer assertions that failed (analyzer bugs).")
+CONNECTION_PLAN_CACHE_HITS = REGISTRY.counter(
+    "repro_connection_plan_cache_hits",
+    "Session plan-cache hits (per-session caches of local connections, "
+    "keyed by script text, execution options, and Database.version).")
+CONNECTION_PLAN_CACHE_MISSES = REGISTRY.counter(
+    "repro_connection_plan_cache_misses",
+    "Session plan-cache misses (every optimized, untraced script that "
+    "had to be prepared, writes included).")
 
 # -- network server (repro.server) ------------------------------------------
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from decimal import Decimal
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -350,6 +351,7 @@ def _render_literal(name: str, value: Any) -> str:
 # Read/write classification
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def classify_source(source: str) -> str:
     """``"read"`` when every statement is side-effect-free (retrieves
     without ``into`` plus range declarations), else ``"write"``.
@@ -358,7 +360,9 @@ def classify_source(source: str) -> str:
     one :func:`repro.excess.pipeline.run_script` reaches when it
     decides whether a script's steps may be cached.  Anything
     unparseable classifies as a write, so the error surfaces on the
-    serialized path with full session state available.
+    serialized path with full session state available.  The verdict is
+    a pure function of the text, so it is memoized on it: a repeated
+    script is not parsed again.
     """
     try:
         return ("read" if all(map(reads_only, statements(source)))

@@ -299,6 +299,10 @@ class IndexCatalog:
         self._defs: Dict[Tuple[str, str, Optional[Expr]], bool] = {}
         #: Probe counters per definition (survive rebuilds).
         self.hits: Dict[Tuple[str, str, Optional[Expr]], int] = {}
+        #: Definition-change counter, one of the terms of
+        #: ``Database.version``: the optimizer prices probes only
+        #: against defined indexes.
+        self.version = 0
 
     # -- definitions (durable DDL) ------------------------------------
 
@@ -307,6 +311,7 @@ class IndexCatalog:
         if def_key in self._defs:
             return
         self._defs[def_key] = True
+        self.version += 1
         self.hits.setdefault(def_key, 0)
         journal = getattr(self._database, "journal", None)
         if journal is not None:
@@ -355,6 +360,7 @@ class IndexCatalog:
             return False
         payload = self._def_json(def_key)
         del self._defs[def_key]
+        self.version += 1
         self.hits.pop(def_key, None)
         if kind == "typed":
             self._typed.pop(name, None)
@@ -379,6 +385,7 @@ class IndexCatalog:
             key = expr_from_json(entry["key"]) if "key" in entry else None
             def_key = (kind, entry["name"], key)
             self._defs[def_key] = True
+            self.version += 1
             self.hits.setdefault(def_key, 0)
             try:
                 self._build(def_key)
@@ -392,6 +399,7 @@ class IndexCatalog:
         key = expr_from_json(entry["key"]) if "key" in entry else None
         def_key = (kind, entry["name"], key)
         self._defs.pop(def_key, None)
+        self.version += 1
         self.hits.pop(def_key, None)
         if kind == "typed":
             self._typed.pop(entry["name"], None)

@@ -59,10 +59,14 @@ class ObjectStore:
         #: raw replay/undo mutations).  Fresh inserts don't bump it —
         #: a new OID cannot collide with anything a cache has seen.
         self.version = 0
+        #: Fresh inserts, which ``version`` leaves out; the two together
+        #: count every change to the store (see ``Database.version``).
+        self.inserts = 0
         # ``version += 1`` is a read-modify-write, not GIL-atomic; the
         # server's writer thread and replay/undo paths may race reader
-        # threads validating deref caches, so bumps go through a lock
-        # (reads stay bare — a plain int load is atomic).
+        # threads validating deref caches (and REF minting inserts from
+        # reader threads), so bumps go through a lock (reads stay bare —
+        # a plain int load is atomic).
         self._version_lock = threading.Lock()
         #: Transaction journal (see :mod:`repro.storage.txn`); when set,
         #: every mutation is reported with enough old state to undo it.
@@ -88,6 +92,8 @@ class ObjectStore:
         self._objects[ref.oid] = value
         self._exact_types[ref.oid] = type_name
         self._by_value.setdefault(value, ref.oid)
+        with self._version_lock:
+            self.inserts += 1
         if self.journal is not None:
             self.journal.on_store_insert(ref.oid, type_name, value)
         return ref
@@ -270,6 +276,9 @@ class Database:
     def __init__(self, store: ObjectStore = None):
         self.store = store or ObjectStore()
         self._named: Dict[str, Any] = {}
+        # Changes to what this object holds itself (named objects,
+        # functions); the own term of :attr:`version`.
+        self._changes = 0
         #: Transaction journal shared with ``store.journal``; set by
         #: :class:`repro.storage.txn.TransactionManager` on attach.
         self.journal = None
@@ -293,11 +302,35 @@ class Database:
     def hierarchy(self) -> TypeHierarchy:
         return self.store.hierarchy
 
+    @property
+    def version(self) -> int:
+        """The catalog epoch: a monotone count of every change to what
+        :func:`repro.excess.pipeline.prepare` reads — store objects
+        (inserts, updates, deletes, migrations), named objects, the type
+        hierarchy and type system, methods, functions, and index
+        definitions.  It is the sum of the change counters those
+        registries keep, so nothing restores an older value: abort and
+        ``rollback_to`` undo by further changes, which advance it."""
+        store = self.store
+        types = getattr(self, "types", None)
+        return (self._changes + store.version + store.inserts
+                + store.hierarchy.version + self.methods.version
+                + self.indexes.version
+                + (types.version if types is not None else 0))
+
+    def _name_changed(self, name: str) -> None:
+        """Bookkeeping after *name* was bound, rebound or unbound —
+        here, or by transaction undo and WAL redo, which write
+        ``_named`` directly: drop its built indexes, advance
+        :attr:`version`."""
+        self.indexes.invalidate(name)
+        self._changes += 1
+
     def create(self, name: str, value: Any) -> None:
         """Create (or replace) a named top-level object."""
         old = self._named.get(name, _MISSING)
         self._named[name] = value
-        self.indexes.invalidate(name)
+        self._name_changed(name)
         if self.journal is not None:
             self.journal.on_name_create(name, old is not _MISSING,
                                         None if old is _MISSING else old,
@@ -307,7 +340,7 @@ class Database:
         if name not in self._named:
             raise StoreError("no top-level object named %r" % name)
         old = self._named.pop(name)
-        self.indexes.invalidate(name)
+        self._name_changed(name)
         if self.journal is not None:
             self.journal.on_name_drop(name, old)
 
@@ -357,6 +390,7 @@ class Database:
         self.functions[name] = fn
         if signature is not None:
             self.function_signatures[name] = signature
+        self._changes += 1
 
     def context(self) -> EvalContext:
         """An evaluation context bound to this database."""

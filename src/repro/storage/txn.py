@@ -272,10 +272,10 @@ class TransactionManager:
             store._apply_migrate(key[1], undo_op[1])
         elif kind == "nset":
             self.db._named[key[1]] = undo_op[1]
-            self.db.indexes.invalidate(key[1])
+            self.db._name_changed(key[1])
         elif kind == "ndel":
             self.db._named.pop(key[1], None)
-            self.db.indexes.invalidate(key[1])
+            self.db._name_changed(key[1])
         elif kind == "none":
             pass
         else:  # pragma: no cover - defensive
@@ -758,10 +758,10 @@ def _redo(db: Database, record: Dict[str, Any]) -> None:
         store._apply_migrate(record["oid"], record["type"])
     elif op == "name":
         db._named[record["name"]] = value_from_json(record["value"])
-        db.indexes.invalidate(record["name"])
+        db._name_changed(record["name"])
     elif op == "drop":
         db._named.pop(record["name"], None)
-        db.indexes.invalidate(record["name"])
+        db._name_changed(record["name"])
     elif op == "ddl":
         _redo_ddl(db, record["ddl"])
     # Unknown ops are skipped: logs written by a newer build replay

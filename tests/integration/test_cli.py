@@ -56,6 +56,26 @@ def test_meta_optimize_toggle_and_plan(shell):
     assert shell.handle_meta(".optimize off") == "optimization off"
 
 
+def test_optimized_shell_reads_replay_cached_plans(shell):
+    """The optimizer is rebuilt only when the database moved, so two
+    identical reads hit the session's plan cache; a write between them
+    re-prices and re-prepares."""
+    from repro.obs.metrics import (CONNECTION_PLAN_CACHE_HITS,
+                                   CONNECTION_PLAN_CACHE_MISSES)
+    shell.feed("create Nums: { int4 }")
+    shell.feed("append to Nums value (5)")
+    shell.handle_meta(".optimize on")
+    read = "retrieve (x) from x in Nums"
+    hits = CONNECTION_PLAN_CACHE_HITS.value()
+    first = shell.feed(read)
+    assert shell.feed(read) == first
+    assert CONNECTION_PLAN_CACHE_HITS.value() == hits + 1
+    shell.feed("append to Nums value (6)")
+    misses = CONNECTION_PLAN_CACHE_MISSES.value()
+    assert "6" in shell.feed(read)[0]
+    assert CONNECTION_PLAN_CACHE_MISSES.value() == misses + 1
+
+
 def test_meta_stats_after_query(shell):
     assert "(no query" in shell.handle_meta(".stats")
     shell.feed("create Nums: { int4 }")

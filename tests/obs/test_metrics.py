@@ -130,10 +130,13 @@ def test_global_registry_round_trips_after_real_queries():
 
 
 def test_plan_cache_and_epoch_metrics_round_trip():
-    """The server read-path instruments survive the export format, and
-    the epoch gauge tracks a live manager's committed version."""
+    """The plan-cache instruments of server readers and of local
+    sessions survive the export format, and the epoch gauge tracks a
+    live manager's committed version."""
     from repro.core.values import MultiSet
-    from repro.obs.metrics import (INDEX_EPOCH, SERVER_PLAN_CACHE_HITS,
+    from repro.obs.metrics import (CONNECTION_PLAN_CACHE_HITS,
+                                   CONNECTION_PLAN_CACHE_MISSES,
+                                   INDEX_EPOCH, SERVER_PLAN_CACHE_HITS,
                                    SERVER_PLAN_CACHE_MISSES)
     from repro.storage import Database
 
@@ -142,11 +145,11 @@ def test_plan_cache_and_epoch_metrics_round_trip():
     db.create("M", MultiSet([1, 2, 3]))  # one commit → epoch advances
     assert manager.index_epoch == manager.version >= 1
     assert INDEX_EPOCH.value() >= manager.version
-    SERVER_PLAN_CACHE_HITS.inc()
-    SERVER_PLAN_CACHE_MISSES.inc()
+    counters = (SERVER_PLAN_CACHE_HITS, SERVER_PLAN_CACHE_MISSES,
+                CONNECTION_PLAN_CACHE_HITS, CONNECTION_PLAN_CACHE_MISSES)
+    for counter in counters:
+        counter.inc()
     parsed = parse_prometheus(REGISTRY.to_prometheus())
-    assert parsed[("repro_server_plan_cache_hits", ())] \
-        == pytest.approx(SERVER_PLAN_CACHE_HITS.value())
-    assert parsed[("repro_server_plan_cache_misses", ())] \
-        == pytest.approx(SERVER_PLAN_CACHE_MISSES.value())
+    for counter in counters:
+        assert parsed[(counter.name, ())] == pytest.approx(counter.value())
     assert parsed[("repro_index_epoch", ())] >= manager.version

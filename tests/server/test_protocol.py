@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from repro.api import connect
 from repro.core.serialize import value_to_json
 from repro.core.values import Arr, MultiSet
+from repro.excess import pipeline
 from repro.excess.pipeline import Result
 from repro.server.protocol import (ProtocolError, bind_params,
                                    classify_source, decode_request,
@@ -144,6 +145,29 @@ def test_reads_classify_as_read(source):
 ])
 def test_writes_and_garbage_classify_as_write(source):
     assert classify_source(source) == "write"
+
+
+def test_classify_source_parses_a_text_once(monkeypatch):
+    """The verdict is memoized on the text: read, write, DDL and
+    unparseable scripts keep their verdicts, and a repeat is not
+    lexed again."""
+    import repro.server.protocol as protocol
+    lexed = []
+
+    def counting(source):
+        lexed.append(source)
+        return pipeline.statements(source)
+
+    monkeypatch.setattr(protocol, "statements", counting)
+    classify_source.cache_clear()
+    verdicts = {"retrieve (x) from x in Memo": "read",
+                "append to Memo value (1)": "write",
+                "create Memo: { int4 }": "write",
+                "retrieve ( from": "write"}
+    for _ in range(3):
+        for source, verdict in verdicts.items():
+            assert classify_source(source) == verdict
+    assert sorted(lexed) == sorted(verdicts)
 
 
 # -- responses --------------------------------------------------------------

@@ -108,6 +108,7 @@ def test_store_inserts_from_threads_stay_consistent():
     _hammer(worker)
     flat = [ref for per in refs for ref in per]
     assert len({ref.oid for ref in flat}) == len(flat)
+    assert store.inserts == len(flat)   # a Database.version term
     for i, per in enumerate(refs):
         for k, ref in enumerate(per):
             assert store.get(ref.oid) == (i, k)

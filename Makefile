@@ -55,21 +55,23 @@ verify-plans:
 # Abstract-interpretation sanitizer gate: the paper figures plus 240
 # seeded random plans, each run interpreted / compiled / licensed /
 # sanitized; any value mismatch or runtime-violated proof fails.  The
-# type checker every `checks` level runs and the shell's `.sanitize`
-# toggle are tested alongside.
+# type checker every `checks` level runs, the update-statement
+# differential (delta plans at every `checks` level) and the shell's
+# `.sanitize` toggle are tested alongside.
 sanitize:
 	$(PYTHON) -m repro.cli sanitize
-	$(PYTHON) -m pytest tests/analysis/test_sanitizer.py tests/analysis/test_absint.py tests/analysis/test_inference.py -q
+	$(PYTHON) -m pytest tests/analysis/test_sanitizer.py tests/analysis/test_absint.py tests/analysis/test_inference.py tests/excess/test_update_pipeline.py -q
 	$(PYTHON) -m pytest tests/integration/test_cli.py -k sanitize -q
 
 # Batch differential gate: the 240-plan classic corpus plus the
 # 60-plan batch-stressing corpus, each plan run interpreted /
 # compiled / batched; any divergence or sanitizer violation fails.
-# Cached session replays are checked against fresh prepares on all
-# three engines alongside.
+# Cached session replays are checked against fresh prepares, and
+# update scripts against the interpreter, on all three engines
+# alongside.
 batch-differential:
 	$(PYTHON) -m repro.cli sanitize --batched
-	$(PYTHON) -m pytest tests/engine/test_batch_engine.py tests/excess/test_plan_cache.py -q
+	$(PYTHON) -m pytest tests/engine/test_batch_engine.py tests/excess/test_plan_cache.py tests/excess/test_update_pipeline.py -q
 
 # Tier-2 sanity gate: one tiny run per paper figure (<30 s), asserting
 # the paper-claimed winner directions and engine agreement.

@@ -412,17 +412,17 @@ class Shell:
         except (ParseError, Exception) as error:
             return ["error: %s" % error]
         for result in last.all:
-            if result.expression is None and result.value is None:
+            if result.expression is None:
                 out.append("ok")
-            elif result.expression is None:
+                continue
+            self.last_stats = dict(result.stats)
+            if result.kind in ("delete", "replace"):
                 out.append("ok (%r affected %s)"
-                           % (result.value, result.into or ""))
+                           % (result.value, result.into))
+            elif result.into:
+                out.append("stored %s" % result.into)
             else:
-                self.last_stats = dict(result.stats)
-                if result.into:
-                    out.append("stored %s" % result.into)
-                else:
-                    out.append(format_value(result.value))
+                out.append(format_value(result.value))
         return out
 
     def feed(self, line: str) -> List[str]:

@@ -12,6 +12,14 @@
 readers, and its ``explain: "analyze"`` reader — and :func:`observed`
 is the single feed of the query metrics and the slow-query log.
 
+**Updates.**  ``append``/``delete``/``replace`` are Steps like any
+retrieve: the translator builds the statement's *delta plan* over the
+target collection, which is optimized, checked and lowered the same
+way.  ``execute`` makes one storage call,
+:meth:`~repro.storage.Database.apply_delta`, which evaluates the whole
+delta against the pre-statement state and then applies it, both inside
+the statement's implicit transaction.
+
 **Catalog.**  ``prepare`` reads names, data and indexes from a
 *catalog*: the live :class:`~repro.storage.Database`, or an MVCC
 :class:`~repro.storage.txn.SnapshotView` of it (whose type registry,
@@ -33,7 +41,7 @@ from collections import OrderedDict
 from copy import copy
 from time import perf_counter
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
-                    Optional, Tuple, Union)
+                    Optional, Tuple)
 
 from ..core.expr import EvalContext, Expr, lower, run_plan
 from ..core.optimizer import Optimizer, Statistics, prune_statically_empty
@@ -174,11 +182,13 @@ def reads_only(statement: Any) -> bool:
 class Step(NamedTuple):
     """One prepared statement — the element of a plan-cache value.
 
-    A range declaration carries only its ``statement``; a retrieve adds
-    the optimized ``expr``, the physical ``plan`` lowered from it (None
-    on the interpreter, which walks ``expr``), the ``analysis`` whose
-    proofs the plan was licensed by, and the translator's
-    ``result_type`` for ``into``.
+    A range declaration carries only its ``statement``; a retrieve or
+    an update adds the optimized ``expr`` (an update's delta plan), the
+    physical ``plan`` lowered from it (None on the interpreter, which
+    walks ``expr``), the ``analysis`` whose proofs the plan was licensed
+    by, the translator's ``result_type`` for a retrieve's ``into``, and
+    ``into``: the name the value is stored under, a retrieve's ``into``
+    or an update's target collection.
     """
 
     statement: Any
@@ -186,6 +196,7 @@ class Step(NamedTuple):
     plan: Any = None
     analysis: Any = None
     result_type: Any = None
+    into: Optional[str] = None
 
 
 def _optimize(expr: Expr, optimizer: Optimizer,
@@ -239,7 +250,7 @@ def _analyze(expr: Expr, catalog: Any, statistics: Optional[Statistics],
     return expr, analysis
 
 
-def prepare(statement: Union[ast.RangeDecl, ast.Retrieve], catalog: Any,
+def prepare(statement: Any, catalog: Any,
             ranges: Dict[str, str], options: ExecutionOptions,
             optimizer: Optional[Optimizer], optimize: bool = True,
             tracer: Optional[Tracer] = None) -> Step:
@@ -247,10 +258,11 @@ def prepare(statement: Union[ast.RangeDecl, ast.Retrieve], catalog: Any,
     *catalog*.
 
     A range declaration is checked and bound into *ranges* here, since
-    the next statement's translation needs it.  *optimizer* carries the
-    cost model (which prices probes against the catalog's indexes) and
-    the search budget; with none, or with *optimize* off, the
-    translated tree runs as written.  A *tracer* makes the plan a
+    the next statement's translation needs it.  An update goes the
+    retrieve's way with its delta plan as the tree.  *optimizer*
+    carries the cost model (which prices probes against the catalog's
+    indexes) and the search budget; with none, or with *optimize* off,
+    the translated tree runs as written.  A *tracer* makes the plan a
     traced one: good for one run, under that tracer.  The analyze and
     verify steps run when ``options.checks`` reaches their level in
     :data:`~repro.options.CHECKS`.
@@ -262,8 +274,13 @@ def prepare(statement: Union[ast.RangeDecl, ast.Retrieve], catalog: Any,
                     "range over unknown object %r" % collection)
             ranges[var] = collection
         return Step(statement)
-    expr, result_type = Translator(catalog, ranges) \
-        .translate_retrieve(statement)
+    translator = Translator(catalog, ranges)
+    result_type = None
+    if isinstance(statement, ast.Retrieve):
+        expr, result_type = translator.translate_retrieve(statement)
+        into = statement.into
+    else:
+        expr, into = translator.translate_update(statement)
     if optimize and optimizer is not None:
         expr = _optimize(expr, optimizer, tracer)
     model = optimizer.cost_model if optimizer is not None else None
@@ -290,7 +307,7 @@ def prepare(statement: Union[ast.RangeDecl, ast.Retrieve], catalog: Any,
                  facts=facts, cost_model=model,
                  access_paths=options.access_paths, analysis=analysis,
                  sanitize=sanitize)
-    return Step(statement, expr, plan, analysis, result_type)
+    return Step(statement, expr, plan, analysis, result_type, into)
 
 
 
@@ -298,21 +315,27 @@ def execute(step: Step, catalog: Any, ctx: EvalContext,
             ranges: Dict[str, str]) -> Result:
     """Run one prepared step in *ctx*: a range declaration is bound
     into *ranges* (again, when the step is replayed from a cache); a
-    retrieve runs its plan with fresh work counters
-    and, with ``into``, stores its value in *catalog*."""
+    retrieve runs its plan with fresh work counters and, with ``into``,
+    stores its value in *catalog*; an update is one storage call, which
+    evaluates the whole delta, then applies it."""
     statement = step.statement
     if step.expr is None:
         ranges.update(statement.bindings)
         return Result(statement, None)
     ctx.begin_query()
-    value = run_plan(step.expr, step.plan, ctx)
-    if statement.into:
-        # The declared type first: ``create`` then advances the
-        # catalog's version past both changes.
-        if step.result_type is not None:
-            catalog.created_types[statement.into] = step.result_type
-        catalog.create(statement.into, value)
-    return Result(statement, step.expr, value, statement.into,
+    if not isinstance(statement, ast.Retrieve):
+        value = catalog.apply_delta(
+            type(statement).__name__.lower(), step.into,
+            lambda: run_plan(step.expr, step.plan, ctx))
+    else:
+        value = run_plan(step.expr, step.plan, ctx)
+        if step.into:
+            # The declared type first: ``create`` then advances the
+            # catalog's version past both changes.
+            if step.result_type is not None:
+                catalog.created_types[step.into] = step.result_type
+            catalog.create(step.into, value)
+    return Result(statement, step.expr, value, step.into,
                   stats=ctx.stats, analysis=step.analysis)
 
 
@@ -426,21 +449,21 @@ class SnapshotStatistics:
 def run_script(source: str, catalog: Any, ctx: EvalContext,
                ranges: Dict[str, str], options: ExecutionOptions,
                optimizer: Callable[[], Optional[Optimizer]], *,
-               optimize: bool = True, session: Any = None,
+               optimize: bool = True, ddl: Any = None,
                cache: Optional[PlanCache] = None) -> List[Result]:
     """Execute a script; one :class:`Result` per statement.
 
     *catalog* is read for names, data and indexes; *ctx* evaluates over
     the same state; *ranges* are the connection's sticky ``range of``
     bindings.  *optimizer* is called at most once, and only if
-    something has to be prepared.  *session* — the
-    :class:`~repro.excess.session.Session` that owns the live database
-    — runs DDL and update statements; without one (a snapshot reader)
-    they are refused.  With a *cache*, *catalog* must carry its epoch
-    as ``version`` (see :class:`PlanCache`): a read script prepared at
-    this epoch is replayed with no prepare work at all, and one
-    prepared now is stored.  Traced and unoptimized runs neither
-    consult nor fill the cache.
+    something has to be prepared.  *ddl* — the
+    :class:`~repro.extra.ddl.DDLInterpreter` of the live database — runs
+    DDL; without one (a snapshot reader) DDL and updates are refused.
+    With a *cache*, *catalog* must carry its epoch as ``version`` (see
+    :class:`PlanCache`): a read script prepared at this epoch is
+    replayed with no prepare work at all, and one prepared now is
+    stored.  Traced and unoptimized runs neither consult nor fill the
+    cache.
     """
     engine = options.engine
     # One check per script: None unless tracing is on.
@@ -463,18 +486,17 @@ def run_script(source: str, catalog: Any, ctx: EvalContext,
     planner = optimizer()
     steps: List[Step] = []
 
-    def retrieve(statement: ast.Retrieve) -> Result:
+    def run(statement: Any) -> Result:
         step = prepare(statement, catalog, ranges, options, planner,
                        optimize, tracer)
         steps.append(step)
         return execute(step, catalog, ctx, ranges)
 
     results: List[Result] = []
-    for statement in statements(
-            source, session.ddl if session is not None else None):
+    for statement in statements(source, ddl):
         if not reads_only(statement):
             key = None
-            if session is None:
+            if ddl is None:
                 raise TranslationError(
                     "a snapshot reader runs only range declarations and "
                     "retrieves without 'into'")
@@ -484,13 +506,9 @@ def run_script(source: str, catalog: Any, ctx: EvalContext,
             steps.append(prepare(statement, catalog, ranges, options, None))
             results.append(_run(steps[-1], catalog, ctx, ranges, engine,
                                 tracer))
-        elif isinstance(statement, ast.Retrieve):
-            results.append(_timed("retrieve", tracer, engine, retrieve,
-                                  statement))
         else:
             results.append(_timed(type(statement).__name__.lower(), tracer,
-                                  engine, session.run_update, statement,
-                                  options))
+                                  engine, run, statement))
     if key is not None:
         cache.put(key, epoch, steps)
     return results

@@ -49,7 +49,7 @@ from ..core.operators import (DE, AddUnion, ArrCat, ArrCollapse, ArrCreate,
                               SetCollapse, SetCreate, SubArr, TupCat,
                               TupCreate, TupExtract)
 from ..core.predicates import And, Atom, Not, Or, Predicate
-from ..core.values import Arr, MultiSet, Tup
+from ..core.values import Arr, MultiSet, Ref, Tup
 from ..core.expr import Func
 from ..extra.ddl import ensure_type_system
 from ..extra.types import (ArrayType, NamedType, RefType, ScalarType,
@@ -221,6 +221,79 @@ class Translator:
                                [name for name, _ in definition.params], body)
         self.db.method_signatures[(definition.type_name, definition.name)] = (
             tuple(definition.params), definition.returns)
+
+    def translate_update(self, stmt: ast.Node) -> Tuple[Expr, str]:
+        """An append / delete / replace → (delta plan, target collection
+        C).
+
+        The delta is evaluated whole before anything is stored:
+
+        * append — the ⊎ operand, the statement translated as a retrieve;
+        * delete — the stored elements of C (refs, not the objects they
+          reference) for which *some* binding of the where clause is T,
+          each at its stored count: ``SET_APPLY[COMP[P](INPUT)](C)``, or
+          with implicit set variables ``SET_COLLAPSE(SET_APPLY[DE(…)](C))``
+          so an element qualifies once, not once per binding;
+        * replace — that selection, each element paired with its
+          assigned values, each value boxed in a one-element multiset
+          so a null value is stored rather than nulling the pair:
+          ``TUP(element = e, values = TUP(f = SET_APPLY[…](SET(INPUT)),
+          …))``.
+
+        The update variable is bound to the *stored* element, typed as
+        C declares it (or, undeclared, as its first stored element), so
+        paths through a ref dereference inside the predicate and the
+        assignments only.  A U verdict yields ``unk`` in place of the
+        element or pair, which names no non-null stored element.  COMP
+        passes a null input through, so a stored ``unk`` is its own
+        answer, as in the retrieve: delete always takes it, replace
+        (which needs a tuple) never.
+        """
+        if isinstance(stmt, ast.Append):
+            target = stmt.collection
+            self._require_multiset(target, "append")
+            expr, _ = self.translate_retrieve(ast.Retrieve(
+                stmt.targets, stmt.from_clauses, stmt.where,
+                value_mode=stmt.value_mode))
+            return expr, target
+        target = self.ranges.get(stmt.var, stmt.var)
+        if target not in self.db:
+            raise TranslationError(
+                "%r is neither a range variable nor a named object"
+                % stmt.var)
+        self._require_multiset(target, type(stmt).__name__.lower())
+        elem_type = self.collection_elem_type(target)
+        if elem_type is None:
+            # Made without ``create``: a stored ref still dereferences.
+            first = next(iter(self.db.get(target).elements()), None)
+            if isinstance(first, Ref) and first.type_name:
+                elem_type = RefType(first.type_name)
+        scope = Scope(bare=stmt.var, types={stmt.var: elem_type})
+        state = _QueryState(self, ast.Retrieve(
+            [ast.Target(ast.Name(stmt.var))], (), stmt.where,
+            value_mode=True), scope)
+        probe, _ = state.build()
+        delta: Expr = Named(target)
+        if state.specs:
+            delta = SetCollapse(SetApply(DE(probe), delta))
+        elif stmt.where is not None:
+            delta = SetApply(probe, delta)
+        if isinstance(stmt, ast.Replace):
+            values: Optional[Expr] = None
+            for field, value_ast in stmt.assignments:
+                value, _ = _QueryState(self, ast.Retrieve(
+                    [ast.Target(value_ast)], (), None, value_mode=True),
+                    scope).build()
+                piece = TupCreate(field, SetApply(value, SetCreate(Input())))
+                values = piece if values is None else TupCat(values, piece)
+            delta = SetApply(TupCat(TupCreate("element", Input()),
+                                    TupCreate("values", values)), delta)
+        return delta, target
+
+    def _require_multiset(self, name: str, kind: str) -> None:
+        if not isinstance(self.db.get(name), MultiSet):
+            raise TranslationError(
+                "%s target %r is not a multiset" % (kind, name))
 
     # ------------------------------------------------------------------
     # Expression compilation (shared with _QueryState)
@@ -735,14 +808,16 @@ class _QueryState:
                     # A registered scalar function used as a virtual
                     # field (GEM-style "dot application").
                     return Func(step.name, [expr]), None
-                raise TranslationError(
-                    "type %s has no attribute or method %r"
-                    % (type_name, step.name))
+                if type_name in self.t.types:
+                    raise TranslationError(
+                        "type %s has no attribute or method %r"
+                        % (type_name, step.name))
             if isinstance(current, TupleTypeExpr):
                 for fname, ftype in current.fields:
                     if fname == step.name:
                         return TupExtract(step.name, expr), ftype
-            # Untyped: assume a field.
+            # Untyped, or a type with no EXTRA definition (the store's
+            # default ``Object``): assume a field.
             return TupExtract(step.name, expr), None
 
         if isinstance(step, ast.CallStep):

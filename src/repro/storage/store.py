@@ -14,12 +14,12 @@ extents, dangling references) without the disk machinery.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from ..core.expr import EvalContext
 from ..core.hierarchy import TypeHierarchy
 from ..core.oid import OIDError, OIDGenerator
-from ..core.values import Arr, MultiSet, Ref, Tup
+from ..core.values import DNE, Arr, MultiSet, Ref, Tup
 
 #: Exact type recorded for objects inserted without one.
 DEFAULT_TYPE = "Object"
@@ -335,6 +335,86 @@ class Database:
             self.journal.on_name_create(name, old is not _MISSING,
                                         None if old is _MISSING else old,
                                         value)
+
+    def apply_delta(self, kind: str, name: str,
+                    evaluate: Callable[[], Any]) -> Any:
+        """Run one update statement on the named multiset *name*:
+        *evaluate* computes its whole delta (see
+        :meth:`repro.excess.translate.Translator.translate_update`), which
+        is then stored with one ``create``.  Both happen inside an
+        implicit transaction when a manager is attached and none is
+        open — so a multi-object statement commits as one WAL group, and
+        an error rolls the statement back whole, objects the delta's
+        evaluation inserted (``mkref``) included.
+
+        * ``append`` — *name* ⊎ delta.  When *name* is declared
+          ``{ ref T }``, each occurrence that is not a reference is first
+          inserted as a new object of its own tuple type, else T.
+          Returns the multiset added.
+        * ``delete`` — *name* − delta.  Returns the occurrences removed.
+        * ``replace`` — the delta holds ``(element, values)`` pairs, each
+          value boxed in a one-element multiset (empty for ``dne``).  A
+          reference's object is updated in place (identity kept, so every
+          other reference sees the change); a value occurrence is swapped
+          for its updated copy.  Null pairs change nothing.  Returns the
+          occurrences changed.
+        """
+        manager = self.txn
+        implicit = manager is not None and manager.active is None
+        if implicit:
+            manager.begin()
+        try:
+            delta = evaluate()
+            existing = self.get(name)
+            if kind == "append":
+                if not isinstance(delta, MultiSet):
+                    delta = MultiSet([delta])
+                from ..extra.types import RefType, SetType
+                declared = getattr(self, "created_types", {}).get(name)
+                if (isinstance(declared, SetType)
+                        and isinstance(declared.element, RefType)):
+                    delta = MultiSet([
+                        element if isinstance(element, Ref)
+                        else self.store.insert(
+                            element, getattr(element, "type_name", None)
+                            or declared.element.target)
+                        for element in delta])
+                value, outcome = existing.add_union(delta), delta
+            elif kind == "delete":
+                value = existing.difference(delta)
+                outcome = len(existing) - len(value)
+            else:
+                value, outcome = self._replace(existing, delta)
+            self.create(name, value)
+        except BaseException:
+            if implicit:
+                manager.abort()
+            raise
+        if implicit:
+            manager.commit()
+        return outcome
+
+    def _replace(self, existing: MultiSet, pairs: MultiSet):
+        counts = existing.counts
+        changed = 0
+        for pair, count in pairs.items():
+            if not isinstance(pair, Tup):
+                continue
+            element = pair["element"]
+            ref = element if isinstance(element, Ref) else None
+            old = self.store.get(ref.oid) if ref is not None else element
+            if not isinstance(old, Tup):
+                raise TypeError(
+                    "replace needs tuple-valued elements, got %r" % (old,))
+            new = old.replace(**{field: next(iter(box), DNE)
+                                 for field, box in pair["values"].fields})
+            changed += count
+            if ref is not None:
+                self.store.update(ref.oid, new)
+            else:
+                counts[element] -= count
+                counts[new] = counts.get(new, 0) + count
+        return MultiSet(counts=counts), changed
 
     def drop(self, name: str) -> None:
         if name not in self._named:
